@@ -243,6 +243,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0.0 <= args.tol < 1.0:
+            raise PeakcovError(f"--tol must lie in [0, 1), got {args.tol!r}")
+        for flag in ("runs", "horizon"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise PeakcovError(f"--{flag} must be >= 1, got {value}")
         return args.func(args)
     except (ProblemFormatError, PeakcovError, OSError) as e:
         print(f"peakcov: error: {e}", file=_sys.stderr)

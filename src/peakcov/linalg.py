@@ -95,13 +95,16 @@ def spectral_norm_sq(m) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0] ** 2)
 
 
-def sym_spectral_norm(m) -> float:
+def sym_spectral_norm(m):
     """L2 norm of a symmetric matrix: max |eigenvalue| via eigvalsh.
 
     Cheaper than the SVD route; used on covariance blocks in hot loops.
+    A (..., n, n) stack gives an array of norms, each equal bit for bit
+    to the norm of its matrix alone.
     """
     w = np.linalg.eigvalsh(np.asarray(m, dtype=float))
-    return float(max(abs(w[0]), abs(w[-1])))
+    top = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+    return float(top) if top.ndim == 0 else top
 
 
 def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:

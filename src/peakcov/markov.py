@@ -13,6 +13,7 @@ gives the exact joint probability of such a prefix.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -167,6 +168,18 @@ def truncation_span(model: LossModel, eps: float = 1e-12, cap: int = 10_000) -> 
     return a
 
 
+def _draw(cdf: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw from each row of `cdf` at uniforms `u`: the count
+    of entries <= u, i.e. searchsorted(side="right"), clipped to the last
+    state against cumulative rounding at 1.0."""
+    return np.minimum((cdf <= u[..., None]).sum(-1), cdf.shape[-1] - 1)
+
+
+def _cdf_rows(model: LossModel) -> np.ndarray:
+    # row s+1, the stationary CDF, is the "state" the first gap comes from
+    return np.vstack([np.cumsum(model.Pi, axis=1), np.cumsum(model.pi_stat)])
+
+
 def sample_gaps(model: LossModel, count: int, seed: int) -> np.ndarray:
     """Sample a gap chain of the given length, deterministically per seed.
 
@@ -176,18 +189,38 @@ def sample_gaps(model: LossModel, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    u = rng.random(count)
-    cum_rows = np.cumsum(model.Pi, axis=1)
+    u = np.random.Generator(np.random.Philox(key=int(seed))).random(count)
+    nxt = _draw(_cdf_rows(model), u[:, None])  # next state from each state
     out = np.empty(count, dtype=np.int64)
-    state = int(np.searchsorted(np.cumsum(model.pi_stat), u[0], side="right"))
-    state = min(state, model.s)
-    out[0] = state
-    for k in range(1, count):
-        state = int(np.searchsorted(cum_rows[state], u[k], side="right"))
-        state = min(state, model.s)  # guard cumulative rounding at 1.0
-        out[k] = state
+    state = model.s + 1
+    for k in range(count):
+        state = out[k] = nxt[k, state]
     return out
+
+
+_DRAW_BLOCK = 64  # uniforms drawn per stream at a time; results ignore it
+
+
+def _sample_arrivals(model: LossModel, horizon: int, seeds) -> np.ndarray:
+    """(horizon, runs) arrival bits; column r is gaps_to_arrivals(
+    sample_gaps(model, horizon, seeds[r]))[:horizon]. The chains step
+    together, each on its own stream, until all cover the horizon."""
+    gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    cdf, cols = _cdf_rows(model), np.arange(len(gens))
+    # chains past the horizon park at it, receiving in the s+1 spare rows
+    arr = np.zeros((horizon + model.s + 1, len(gens)), dtype=bool)
+    start = np.zeros(len(gens), dtype=np.int64)  # first slot of next gap
+    state = np.full(len(gens), model.s + 1)
+    u = np.empty((len(gens), _DRAW_BLOCK))
+    for step in itertools.count():
+        if start.min() >= horizon:
+            return arr[:horizon]
+        if step % u.shape[1] == 0:
+            for g, row in zip(gens, u):
+                g.random(out=row)
+        state = _draw(cdf[state], u[:, step % u.shape[1]])
+        arr[start + state, cols] = True
+        start = np.minimum(start + state + 1, horizon)
 
 
 def gaps_to_arrivals(gaps) -> np.ndarray:

@@ -51,10 +51,11 @@ def check_cov(X, name: str = "covariance") -> np.ndarray:
 
 
 def time_update(sys: SystemModel, X) -> np.ndarray:
-    """Open-loop covariance propagation A X A' + Q, re-symmetrized."""
+    """Open-loop covariance propagation A X A' + Q, re-symmetrized; a
+    (..., n, n) stack maps matrix by matrix, bit for bit."""
     X = np.asarray(X, dtype=float)
     out = sys.A @ X @ sys.A.T + sys.Q
-    return (out + out.T) / 2.0
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def optimal_gain(sys: SystemModel, X) -> np.ndarray:
@@ -62,7 +63,8 @@ def optimal_gain(sys: SystemModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     S = sys.C @ X @ sys.C.T + sys.R
     W = sys.A @ X @ sys.C.T
-    return -np.linalg.solve(S.T, W.T).T
+    Kt = np.linalg.solve(S.swapaxes(-1, -2), W.swapaxes(-1, -2))
+    return -Kt.swapaxes(-1, -2)
 
 
 def measurement_update(sys: SystemModel, X) -> np.ndarray:
@@ -72,12 +74,14 @@ def measurement_update(sys: SystemModel, X) -> np.ndarray:
     gain K: algebraically equal to A X A' + Q - A X C'(C X C'+R)^{-1}C X A'
     but a sum of PSD terms, so roundoff cannot push the result indefinite
     (the difference form loses definiteness on long update streams).
+    Like time_update, it maps a (..., n, n) stack matrix by matrix.
     """
     X = np.asarray(X, dtype=float)
     K = optimal_gain(sys, X)
     F = sys.A + K @ sys.C
-    out = F @ X @ F.T + K @ sys.R @ K.T + sys.Q
-    return (out + out.T) / 2.0
+    Ft, Kt = F.swapaxes(-1, -2), K.swapaxes(-1, -2)
+    out = F @ X @ Ft + K @ sys.R @ Kt + sys.Q
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def kf_step(sys: SystemModel, P, received) -> np.ndarray:

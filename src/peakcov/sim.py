@@ -19,14 +19,12 @@ mean growth carried by rare excursions, the across-run mean does not.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .markov import LossModel, gaps_to_arrivals, sample_gaps
+from .markov import LossModel, _sample_arrivals
 from .riccati import check_cov, measurement_update, time_update
 from .system import SystemModel
 
@@ -81,6 +79,21 @@ class TrendStat:
     burn: int
 
 
+def _post_bursts(sys: SystemModel, arr: np.ndarray):
+    """Propagate one covariance per column of the slot-major arrival bits
+    `arr` as one (runs, n, n) stack from Sigma0: each slot computes both
+    updates and keeps the one each run's bit selects. Yields (k, runs, P,
+    Pn) at each 0-based slot k with post-burst receptions: the runs
+    receiving there, their covariances entering slot k and after it."""
+    P = np.repeat(sys.Sigma0[None], arr.shape[1], axis=0)
+    for k, bits in enumerate(arr):
+        Pn = measurement_update(sys, P)
+        hit = np.flatnonzero(bits & ~arr[k - 1]) if k else []
+        if len(hit):
+            yield k, hit, P[hit], Pn[hit]
+        P = np.where(bits[:, None, None], Pn, time_update(sys, P))
+
+
 def simulate_run(
     sys: SystemModel, loss: LossModel, horizon: int, seed: int
 ) -> RunRecord:
@@ -92,20 +105,12 @@ def simulate_run(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     check_cov(sys.Sigma0, "Sigma0")
-    gaps = sample_gaps(loss, horizon, seed)
-    arr = gaps_to_arrivals(gaps)[:horizon]
-    P = sys.Sigma0.copy()
+    arr = _sample_arrivals(loss, horizon, [seed])
     beta, peaks, posts = [], [], []
-    for k in range(horizon):
-        if arr[k]:
-            Pn = measurement_update(sys, P)
-            if k >= 1 and not arr[k - 1]:
-                beta.append(k + 1)
-                peaks.append(linalg.sym_spectral_norm(P))
-                posts.append(linalg.sym_spectral_norm(Pn))
-            P = Pn
-        else:
-            P = time_update(sys, P)
+    for k, _, P, Pn in _post_bursts(sys, arr):
+        beta.append(k + 1)
+        peaks.append(linalg.sym_spectral_norm(P)[0])
+        posts.append(linalg.sym_spectral_norm(Pn)[0])
     return RunRecord(
         seed=seed,
         horizon=horizon,
@@ -115,53 +120,39 @@ def simulate_run(
     )
 
 
-def _thread_count(threads, runs: int) -> int:
-    if threads is None:
-        env = os.environ.get("PEAKCOV_THREADS", "")
-        threads = int(env) if env.strip() else (os.cpu_count() or 1)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return min(threads, runs)
-
-
 def mc_estimate(
     sys: SystemModel,
     loss: LossModel,
     runs: int,
     horizon: int,
     base_seed: int,
-    threads: int | None = None,
 ) -> McEstimate:
     """Per-index statistics of post-burst norms over `runs` streams.
 
-    Run i is seeded base_seed + i, so the ensemble is reproducible and
-    independent of the thread count (aggregation happens in run order;
-    threads only schedule the independent streams). PEAKCOV_THREADS
-    overrides the default worker count when `threads` is None.
+    Run i uses the Philox stream base_seed + i, so ensembles are
+    bit-identical whatever the batch: run i's peak norms equal
+    simulate_run(..., base_seed + i).peak_norms, and each index's mean
+    and stderr reduce the same values in run order.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    workers = _thread_count(threads, runs)
-
-    def one(i: int) -> np.ndarray:
-        return simulate_run(sys, loss, horizon, base_seed + i).peak_norms
-
-    if workers == 1:
-        per_run = [one(i) for i in range(runs)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(one, range(runs)))
-
-    depth = max((p.size for p in per_run), default=0)
-    means = np.full(depth, np.nan)
-    stderrs = np.full(depth, np.nan)
-    counts = np.zeros(depth, dtype=np.int64)
-    for j in range(depth):
-        vals = np.array([p[j] for p in per_run if p.size > j])
-        counts[j] = vals.size
-        means[j] = vals.mean()
-        if vals.size > 1:
-            stderrs[j] = vals.std(ddof=1) / np.sqrt(vals.size)
+    if runs < 1 or horizon < 1:
+        raise ValueError("runs and horizon must be >= 1")
+    check_cov(sys.Sigma0, "Sigma0")
+    arr = _sample_arrivals(loss, horizon, range(base_seed, base_seed + runs))
+    per_run = (arr[1:] & ~arr[:-1]).sum(axis=0)
+    ends = np.cumsum(per_run)
+    flat = np.empty(int(ends[-1]))
+    fill = ends - per_run  # next free slot of each run in `flat`
+    for _, hit, P, _ in _post_bursts(sys, arr):
+        flat[fill[hit]] = linalg.sym_spectral_norm(P)
+        fill[hit] += 1
+    # peak index of each norm; a stable sort keeps run order within one
+    idx = np.arange(flat.size) - np.repeat(ends - per_run, per_run)
+    counts = np.bincount(idx).astype(np.int64)
+    ordered = flat[np.argsort(idx, kind="stable")]
+    groups = np.split(ordered, np.cumsum(counts)[:-1]) if flat.size else []
+    means = np.array([g.mean() for g in groups])
+    stderrs = np.array([g.std(ddof=1) / np.sqrt(g.size) if g.size > 1
+                        else np.nan for g in groups])
     return McEstimate(
         runs=runs,
         horizon=horizon,
@@ -169,7 +160,7 @@ def mc_estimate(
         means=means,
         stderrs=stderrs,
         counts=counts,
-        peak_norms_by_run=per_run,
+        peak_norms_by_run=np.split(flat, ends[:-1]),
     )
 
 

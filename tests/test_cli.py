@@ -112,18 +112,18 @@ def test_certificate_refuses_unstable(problems_dir):
     assert "error" in rep
 
 
-def test_simulate_csv_thread_invariant(tmp_path, problems_dir, monkeypatch):
+def test_simulate_csv_repeatable(tmp_path, problems_dir):
     path = str(problems_dir / "stable_burst2.json")
     outs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("PEAKCOV_THREADS", threads)
-        csv_path = tmp_path / f"t{threads}.csv"
+    for call in range(2):
+        csv_path = tmp_path / f"call{call}.csv"
         code, rep = _report("simulate", path, "--runs", "40", "--horizon",
                             "300", "--seed", "7", "--csv", str(csv_path))
         assert code == 0
         assert rep["runs"] == 40 and rep["base_seed"] == 7
         assert "not decidable" in rep["note"]
-        outs.append((csv_path.read_bytes(), rep["means"]))
+        outs.append((csv_path.read_bytes(),
+                     np.asarray(rep["means"], dtype=float).tobytes()))
     assert outs[0][0] == outs[1][0]
     assert outs[0][1] == outs[1][1]
     lines = outs[0][0].decode().splitlines()
@@ -132,6 +132,20 @@ def test_simulate_csv_thread_invariant(tmp_path, problems_dir, monkeypatch):
     assert first["j"] == "1"
     assert float(first["mean"]) == rep["means"][0]  # 17g column round-trips
     assert int(first["count"]) == 40
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "stable_burst2", "--runs", "0"),
+    ("simulate", "stable_burst2", "--horizon", "-3"),
+    ("analyze", "resonant_rotation", "--tol", "-5"),
+], ids=["runs-0", "horizon-negative", "tol-negative"])
+def test_out_of_range_flags_exit_two(problems_dir, argv):
+    cmd, problem, *flags = argv
+    code, out, err = _run(cmd, str(problems_dir / f"{problem}.json"), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("peakcov: error:") and err.count("\n") == 1
+    assert flags[0] in err
 
 
 def test_simulate_shows_divergence(problems_dir):

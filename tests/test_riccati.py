@@ -16,6 +16,7 @@ from peakcov import (
     optimal_gain,
     time_update,
 )
+from peakcov.linalg import sym_spectral_norm
 from peakcov.riccati import check_cov
 
 
@@ -51,6 +52,19 @@ def test_measurement_update_examples(plant):
     ) / 3.0
     np.testing.assert_allclose(measurement_update(plant, np.eye(2)), expect,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["plant", "jordan_plant"])
+def test_stacked_updates_match_per_matrix_calls(request, fixture):
+    sysm = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(44)
+    stack = np.stack([_rand_psd(rng, sysm.n, scale=10.0 ** e)
+                      for e in range(-3, 4)])
+    for update in (time_update, measurement_update):
+        one_by_one = np.stack([update(sysm, x) for x in stack])
+        assert update(sysm, stack).tobytes() == one_by_one.tobytes()
+    norms = [sym_spectral_norm(x) for x in stack]
+    assert sym_spectral_norm(stack).tolist() == norms
 
 
 def test_measurement_below_time_update(plant):

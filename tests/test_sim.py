@@ -2,19 +2,95 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peakcov import (
     LossModel,
+    SystemModel,
+    Unobservable,
     enumerate_first_peak,
     gaps_to_arrivals,
     growth_trend,
+    load_problem,
     mc_estimate,
     measurement_update,
+    observability_index,
     sample_gaps,
     simulate_run,
     time_update,
 )
+from peakcov import markov
 from peakcov.linalg import sym_spectral_norm
+
+DEMOS = ["identical_rows", "resonant_rotation", "single_loss",
+         "single_loss_sticky", "stable_burst2"]
+
+
+def _reference_gaps(loss, count, seed):
+    # the gap chain stepped one searchsorted at a time
+    u = np.random.Generator(np.random.Philox(key=int(seed))).random(count)
+    cum_rows = np.cumsum(loss.Pi, axis=1)
+    out = np.empty(count, dtype=np.int64)
+    state = np.searchsorted(np.cumsum(loss.pi_stat), u[0], side="right")
+    out[0] = state = min(int(state), loss.s)
+    for k in range(1, count):
+        state = np.searchsorted(cum_rows[state], u[k], side="right")
+        out[k] = state = min(int(state), loss.s)
+    return out
+
+
+def _reference_run(sys, loss, horizon, seed):
+    """One run, slot by slot on 2-d covariances: (arrivals, beta_times,
+    peak norms, post norms)."""
+    arr = gaps_to_arrivals(_reference_gaps(loss, horizon, seed))[:horizon]
+    P = sys.Sigma0.copy()
+    beta, peaks, posts = [], [], []
+    for k in range(horizon):
+        if arr[k]:
+            Pn = measurement_update(sys, P)
+            if k >= 1 and not arr[k - 1]:
+                beta.append(k + 1)
+                peaks.append(sym_spectral_norm(P))
+                posts.append(sym_spectral_norm(Pn))
+            P = Pn
+        else:
+            P = time_update(sys, P)
+    return (arr, np.asarray(beta, dtype=np.int64),
+            np.asarray(peaks, dtype=float), np.asarray(posts, dtype=float))
+
+
+def _assert_matches_reference(sys, loss, runs, horizon, base_seed):
+    """mc_estimate and simulate_run equal the per-run loop bit for bit,
+    with statistics aggregated index by index in run order."""
+    est = mc_estimate(sys, loss, runs=runs, horizon=horizon,
+                      base_seed=base_seed)
+    ref = [_reference_run(sys, loss, horizon, base_seed + i)
+           for i in range(runs)]
+    assert len(est.peak_norms_by_run) == runs
+    for got, (arr, _, peaks, _) in zip(est.peak_norms_by_run, ref):
+        assert got.tobytes() == peaks.tobytes()
+        # one peak per loss -> reception transition
+        assert got.size == np.count_nonzero((arr[1:] == 1) & (arr[:-1] == 0))
+    for i in range(min(runs, 3)):
+        rec = simulate_run(sys, loss, horizon, base_seed + i)
+        _, beta, peaks, posts = ref[i]
+        assert rec.beta_times.tobytes() == beta.tobytes()
+        assert rec.peak_norms.tobytes() == peaks.tobytes()
+        assert rec.post_norms.tobytes() == posts.tobytes()
+    depth = max(r[2].size for r in ref)
+    means = np.full(depth, np.nan)
+    stderrs = np.full(depth, np.nan)
+    counts = np.zeros(depth, dtype=np.int64)
+    for j in range(depth):
+        vals = np.array([r[2][j] for r in ref if r[2].size > j])
+        counts[j] = vals.size
+        means[j] = vals.mean()
+        if vals.size > 1:
+            stderrs[j] = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert est.means.tobytes() == means.tobytes()
+    assert est.stderrs.tobytes() == stderrs.tobytes()
+    assert est.counts.tobytes() == counts.tobytes()
 
 
 def _find_seed(loss, prefix):
@@ -90,20 +166,55 @@ def test_mc_single_run_reduction(plant, chain_burst2):
     assert np.all(np.isnan(est.stderrs))
 
 
-def test_mc_bit_reproducible_across_thread_counts(plant, chain_burst2):
+@pytest.mark.parametrize("name", DEMOS)
+def test_mc_matches_reference_on_demos(problems_dir, name):
+    sysm, loss, _ = load_problem(str(problems_dir / f"{name}.json"))
+    _assert_matches_reference(sysm, loss, runs=12, horizon=150, base_seed=4)
+
+
+@pytest.mark.parametrize("runs", [1, 7, 40])
+@pytest.mark.parametrize("horizon", [1, 2, 300])
+def test_mc_matches_reference_sizes(plant, chain_burst2, runs, horizon):
+    _assert_matches_reference(plant, chain_burst2, runs, horizon,
+                              base_seed=1000 * runs + horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+       m=st.integers(1, 2), s=st.integers(1, 3), runs=st.integers(1, 6),
+       horizon=st.integers(1, 40), base_seed=st.integers(0, 2**40))
+def test_mc_matches_reference_random_plants(seed, n, m, s, runs, horizon,
+                                            base_seed):
+    rng = np.random.default_rng(seed)
+    B, D, E = (rng.standard_normal((k, k)) for k in (n, m, n))
+    sysm = SystemModel(A=rng.standard_normal((n, n)) / np.sqrt(n),
+                       C=rng.standard_normal((m, n)),
+                       Q=B @ B.T + 0.1 * np.eye(n), R=D @ D.T + 0.1 * np.eye(m),
+                       Sigma0=E @ E.T)
+    try:
+        observability_index(sysm)
+    except Unobservable:
+        assume(False)
+    loss = LossModel(Pi=rng.dirichlet(np.ones(s + 1), size=s + 1))
+    np.testing.assert_array_equal(sample_gaps(loss, 50, base_seed),
+                                  _reference_gaps(loss, 50, base_seed))
+    _assert_matches_reference(sysm, loss, runs, horizon, base_seed)
+
+
+def test_mc_invariant_under_draw_block(plant, chain_burst2, monkeypatch):
     kw = dict(runs=12, horizon=250, base_seed=321)
-    one = mc_estimate(plant, chain_burst2, threads=1, **kw)
-    par = mc_estimate(plant, chain_burst2, threads=4, **kw)
-    again = mc_estimate(plant, chain_burst2, threads=4, **kw)
-    for a, b in ((one, par), (par, again)):
-        assert a.means.tobytes() == b.means.tobytes()
-        assert a.stderrs.tobytes() == b.stderrs.tobytes()
-        assert a.counts.tobytes() == b.counts.tobytes()
+    outs = []
+    for width in (1, 7, markov._DRAW_BLOCK):
+        monkeypatch.setattr(markov, "_DRAW_BLOCK", width)
+        est = mc_estimate(plant, chain_burst2, **kw)
+        outs.append([est.means.tobytes(), est.stderrs.tobytes(),
+                     est.counts.tobytes()]
+                    + [p.tobytes() for p in est.peak_norms_by_run])
+    assert outs[0] == outs[1] == outs[2]
     with pytest.raises(ValueError):
         mc_estimate(plant, chain_burst2, runs=0, horizon=10, base_seed=0)
     with pytest.raises(ValueError):
-        mc_estimate(plant, chain_burst2, runs=2, horizon=10, base_seed=0,
-                    threads=0)
+        mc_estimate(plant, chain_burst2, runs=2, horizon=0, base_seed=0)
 
 
 def test_mc_stderr_clt_scaling(plant, chain_burst2):
