@@ -46,7 +46,6 @@ from .riccati import (
     dare_fixed_point,
     fixed_gain_update,
     iterate,
-    kf_step,
     measurement_update,
     optimal_gain,
     time_update,
@@ -106,8 +105,8 @@ __all__ = [
     "sojourn_pmf", "truncation_span", "sample_gaps", "gaps_to_arrivals",
     "arrivals_to_gaps",
     # covariance updates
-    "time_update", "measurement_update", "optimal_gain", "kf_step",
-    "iterate", "fixed_gain_update", "dare_fixed_point",
+    "time_update", "measurement_update", "optimal_gain", "iterate",
+    "fixed_gain_update", "dare_fixed_point",
     # stability
     "STABILITY_TOL", "StabilityMatrix", "Certificate", "ComparisonReport",
     "is_stable", "min_norm_gain", "closed_form_gains",

@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__, stability
 from .errors import NotStable, PeakcovError, ProblemFormatError
-from .markov import LossModel
 from .problems import dumps_report, file_digest, load_matrix_file, load_problem
 from .sim import mc_estimate
-from .system import SystemModel, observability_index, validate
+from .system import observability_index, validate
 
 __all__ = ["main"]
 
@@ -39,26 +38,27 @@ EXIT_NOT_PROVEN = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _base_report(command: str, path: str, label: str) -> dict:
-    return {
+def _load(args):
+    """The validated problem of args and the header of its report."""
+    sysm, loss, label = load_problem(args.problem)
+    validate(sysm)
+    return sysm, loss, {
         "tool": "peakcov",
         "version": __version__,
-        "command": command,
-        "input": {"path": path, "label": label, "sha256": file_digest(path)},
+        "command": args.command,
+        "input": {"path": args.problem, "label": label,
+                  "sha256": file_digest(args.problem)},
     }
 
 
-def _load(path: str):
-    sysm, loss, label = load_problem(path)
-    validate(sysm)
-    return sysm, loss, label
-
-
-def _analysis_fields(sysm: SystemModel, loss: LossModel, tol: float,
-                     refine: bool) -> tuple[dict, stability.ComparisonReport]:
-    rep = stability.compare_conditions(sysm, loss, refine=refine, tol=tol)
-    fields = {
-        "tol": tol,
+def cmd_analyze(args) -> int:
+    """analyze and compare: one report; compare adds a note and exits on
+    the gain condition alone."""
+    sysm, loss, report = _load(args)
+    rep = stability.compare_conditions(sysm, loss, refine=args.refine,
+                                       tol=args.tol)
+    report.update({
+        "tol": args.tol,
         "observability_index": observability_index(sysm),
         "norm_minima": rep.d,
         "rho_norm_condition": rep.rho_norm,
@@ -69,43 +69,27 @@ def _analysis_fields(sysm: SystemModel, loss: LossModel, tol: float,
         "gains": rep.gains,
         "verdict": "stable" if (rep.gain_stable or rep.norm_stable)
                    else "not-proven",
-    }
-    return fields, rep
-
-
-def cmd_analyze(args) -> int:
-    sysm, loss, label = _load(args.problem)
-    report = _base_report("analyze", args.problem, label)
-    fields, _ = _analysis_fields(sysm, loss, args.tol, args.refine)
-    report.update(fields)
+    })
+    stable = report["verdict"] == "stable"
+    if args.command == "compare":
+        report["note"] = (
+            "the norm condition implies the gain condition at the minimum-norm "
+            "gains; the reverse implication does not hold"
+        )
+        stable = rep.gain_stable
     print(dumps_report(report))
-    return EXIT_STABLE if report["verdict"] == "stable" else EXIT_NOT_PROVEN
-
-
-def cmd_compare(args) -> int:
-    sysm, loss, label = _load(args.problem)
-    report = _base_report("compare", args.problem, label)
-    fields, rep = _analysis_fields(sysm, loss, args.tol, args.refine)
-    report.update(fields)
-    report["note"] = (
-        "the norm condition implies the gain condition at the minimum-norm "
-        "gains; the reverse implication does not hold"
-    )
-    print(dumps_report(report))
-    return EXIT_STABLE if rep.gain_stable else EXIT_NOT_PROVEN
+    return EXIT_STABLE if stable else EXIT_NOT_PROVEN
 
 
 def cmd_certificate(args) -> int:
-    sysm, loss, label = _load(args.problem)
-    report = _base_report("certificate", args.problem, label)
+    sysm, loss, report = _load(args)
     gains, rho = stability.search_gains(sysm, loss, refine=args.refine)
     report["rho_gain_condition"] = rho
     report["gains"] = gains
     try:
         cert = stability.build_certificate(sysm, loss, gains, tol=args.tol)
     except NotStable as e:
-        report["verdict"] = "not-proven"
-        report["error"] = str(e)
+        report.update(verdict="not-proven", error=str(e))
         print(dumps_report(report))
         return EXIT_NOT_PROVEN
     report["certificate_blocks"] = cert.blocks
@@ -126,8 +110,7 @@ def cmd_certificate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sysm, loss, label = _load(args.problem)
-    report = _base_report("simulate", args.problem, label)
+    sysm, loss, report = _load(args)
     est = mc_estimate(sysm, loss, runs=args.runs, horizon=args.horizon,
                       base_seed=args.seed)
     finite = est.means[np.isfinite(est.means)]
@@ -149,20 +132,15 @@ def cmd_simulate(args) -> int:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["j", "mean", "stderr", "count"])
-            for j in range(est.means.size):
-                w.writerow([
-                    j + 1,
-                    format(est.means[j], ".17g"),
-                    format(est.stderrs[j], ".17g"),
-                    int(est.counts[j]),
-                ])
+            w.writerows([j, format(m, ".17g"), format(se, ".17g"), int(c)]
+                        for j, (m, se, c) in enumerate(
+                            zip(est.means, est.stderrs, est.counts), start=1))
     print(dumps_report(report))
     return EXIT_STABLE
 
 
 def cmd_transform(args) -> int:
-    sysm, loss, label = _load(args.problem)
-    report = _base_report("transform", args.problem, label)
+    sysm, loss, report = _load(args)
     S = load_matrix_file(args.S, "S")
     d, gains = stability.closed_form_gains(sysm)
     rho_norm = stability.norm_condition_matrix(sysm, loss, d).rho
@@ -202,18 +180,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="stability margin: require rho < 1 - tol")
 
-    sp = sub.add_parser("analyze", help="evaluate both stability conditions")
-    common(sp)
-    sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
-                    default=True, help="refine gains beyond the closed form")
-    sp.set_defaults(func=cmd_analyze)
-
-    sp = sub.add_parser("certificate",
-                        help="construct and verify stability witnesses")
-    common(sp)
-    sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
-                    default=True)
-    sp.set_defaults(func=cmd_certificate)
+    for name, func, help_ in (
+        ("analyze", cmd_analyze, "evaluate both stability conditions"),
+        ("certificate", cmd_certificate,
+         "construct and verify stability witnesses"),
+        ("compare", cmd_analyze, "norm vs gain condition side by side"),
+    ):
+        sp = sub.add_parser(name, help=help_)
+        common(sp)
+        sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
+                        default=True, help="refine gains beyond the closed form")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("simulate", help="Monte Carlo peak-norm statistics")
     common(sp)
@@ -230,12 +207,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--S", required=True, metavar="PATH",
                     help="JSON file holding the transform matrix")
     sp.set_defaults(func=cmd_transform)
-
-    sp = sub.add_parser("compare", help="norm vs gain condition side by side")
-    common(sp)
-    sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
-                    default=True)
-    sp.set_defaults(func=cmd_compare)
     return p
 
 
@@ -249,6 +220,11 @@ def main(argv=None) -> int:
             value = getattr(args, flag, 1)
             if value < 1:
                 raise PeakcovError(f"--{flag} must be >= 1, got {value}")
+        # run i draws from the Philox stream keyed seed + i, a 128-bit key
+        seed, runs = getattr(args, "seed", 0), getattr(args, "runs", 1)
+        if not 0 <= seed <= 2**128 - runs:
+            raise PeakcovError(
+                f"--seed must lie in [0, 2**128 - runs], got {seed}")
         return args.func(args)
     except (ProblemFormatError, PeakcovError, OSError) as e:
         print(f"peakcov: error: {e}", file=_sys.stderr)

@@ -15,7 +15,7 @@ class NotSymmetric(PeakcovError):
 
 
 class Singular(PeakcovError):
-    """A linear solve or inverse hit a pivot below tolerance."""
+    """A linear solve met a numerically singular matrix."""
 
 
 class DimensionMismatch(PeakcovError):

@@ -1,21 +1,20 @@
 """Dense real linear-algebra kernel.
 
 Kronecker products, column-major vectorization, spectral radii of
-nonsymmetric matrices, symmetric eigendecomposition, SVD null spaces and
-pivot-checked linear solves. Everything is a pure function of ndarrays;
-all routines reject NaN/Inf input.
+nonsymmetric matrices, symmetric eigendecomposition, SVD ranks and null
+spaces, and rank-checked linear solves. Everything is a pure function of
+ndarrays; all routines reject NaN/Inf input. numpy is the only
+dependency.
 
 Eigenvalues of nonsymmetric matrices come from LAPACK's Hessenberg
 reduction + implicitly shifted QR (real Schur form); solves are LU with
-partial pivoting. Dense only: problem sizes here are s*n^2 at desk scale.
+partial pivoting (np.linalg.solve), refused as singular by the ratio of
+extreme singular values. Dense only: problem sizes here are s*n^2 at desk scale.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-import scipy.linalg
 
 from .errors import NoConvergence, NotSymmetric, Singular
 
@@ -126,10 +125,11 @@ def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve(a, b) -> np.ndarray:
-    """Solve a @ x = b by LU with partial pivoting.
+    """Solve a @ x = b by LU with partial pivoting (np.linalg.solve).
 
-    Raises Singular when any pivot magnitude falls below 1e-12*||a||
-    (Frobenius norm). b may be a vector or a matrix of right-hand sides.
+    Raises Singular when the smallest singular value of a is at most
+    1e-12 times the largest. b may be a vector or a matrix of
+    right-hand sides.
     """
     am = _as_matrix(a, "a")
     if am.shape[0] != am.shape[1]:
@@ -137,32 +137,30 @@ def solve(a, b) -> np.ndarray:
     bv = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(bv)):
         raise ValueError("right-hand side contains NaN or Inf entries")
-    with warnings.catch_warnings():
-        # the pivot check below raises a typed Singular instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(am, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    floor = 1e-12 * np.linalg.norm(am)
-    if am.shape[0] and pivots.min() <= floor:
+    sv = np.linalg.svd(am, compute_uv=False)
+    if sv.size and sv[-1] <= 1e-12 * sv[0]:
         raise Singular(
-            f"pivot {pivots.min():.3e} below tolerance {floor:.3e}"
+            f"smallest singular value {sv[-1]:.3e} is at most 1e-12 times "
+            f"the largest ({sv[0]:.3e})"
         )
-    return scipy.linalg.lu_solve((lu, piv), bv, check_finite=False)
+    return np.linalg.solve(am, bv)
+
+
+def sv_rank(sv: np.ndarray, shape, rtol: float | None = None) -> int:
+    """Numerical rank of a matrix of the given shape from its descending
+    singular values: the number above rtol * sigma_max, rtol defaulting
+    to max(rows, cols) * machine epsilon (0 for an empty or zero matrix)."""
+    if rtol is None:
+        rtol = max(shape) * np.finfo(float).eps
+    return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
 
 
 def null_space_basis(m, rank_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the null space {x : m x = 0}, as columns.
 
-    Rank is decided by singular values above rank_tol * sigma_max, with
-    rank_tol defaulting to max(rows, cols) * machine epsilon. Returns an
-    n x 0 matrix when m has full column rank.
+    Rank is decided by sv_rank (rank_tol defaults to max(rows, cols) *
+    machine epsilon). Returns an n x 0 matrix when m has full column rank.
     """
     a = _as_matrix(m)
-    if rank_tol is None:
-        rank_tol = max(a.shape) * np.finfo(float).eps
     _, sv, vt = np.linalg.svd(a)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > rank_tol * sv[0]))
-    return vt[rank:].T.copy()
+    return vt[sv_rank(sv, a.shape, rank_tol):].T.copy()

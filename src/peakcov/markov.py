@@ -139,20 +139,11 @@ def sojourn_pmf(model: LossModel, path) -> float:
         if not 1 <= b <= s:
             raise ValueError(f"burst length b = {b} outside 1..{s}")
     p00 = P[0, 0]
-
-    a, b = pairs[0]
-    if a == 1:
-        prob = float(model.pi_stat[b])
-    else:
-        prob = float(model.pi_stat[0] * p00 ** (a - 2) * P[0, b])
-    prev = b
-    for a, b in pairs[1:]:
-        if a == 1:
-            prob *= P[prev, b]
-        else:
-            prob *= P[prev, 0] * p00 ** (a - 2) * P[0, b]
-        prev = b
-    return prob
+    prob, row = 1.0, model.pi_stat  # the first pair leaves the stationary law
+    for a, b in pairs:
+        prob *= row[b] if a == 1 else row[0] * p00 ** (a - 2) * P[0, b]
+        row = P[b]
+    return float(prob)
 
 
 def truncation_span(model: LossModel, eps: float = 1e-12, cap: int = 10_000) -> int:

@@ -57,18 +57,22 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _read_json(path: str):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise ProblemFormatError(f"{path}: not valid JSON: {e}") from e
+
+
 def load_problem(path: str) -> tuple[SystemModel, LossModel, str]:
     """Parse a problem file into validated model objects.
 
     Raises ProblemFormatError naming the offending field; the returned
     label defaults to the file path.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ProblemFormatError(f"{path}: not valid JSON: {e}") from e
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ProblemFormatError(f"{path}: top level must be a JSON object")
     missing = [k for k in _MATRIX_KEYS if k not in doc]
@@ -94,12 +98,7 @@ def load_problem(path: str) -> tuple[SystemModel, LossModel, str]:
 
 def load_matrix_file(path: str, field: str = "S") -> np.ndarray:
     """Read a single matrix: either a bare nested array or {field: array}."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ProblemFormatError(f"{path}: not valid JSON: {e}") from e
+    doc = _read_json(path)
     if isinstance(doc, dict):
         if field not in doc:
             raise ProblemFormatError(f"{path}: missing field '{field}'")
@@ -134,27 +133,18 @@ def _float_17g(f: float) -> str:
     return s
 
 
-class _ReportEncoder(json.JSONEncoder):
-    """json.JSONEncoder prints the shortest repr; reports promise 17
-    significant digits, so route floats through _float_17g by forcing
-    the pure-Python encode path with a custom float formatter."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        enc = (json.encoder.encode_basestring_ascii if self.ensure_ascii
-               else json.encoder.encode_basestring)
-
-        def floatstr(f):
-            if f != f or f in (float("inf"), float("-inf")):
-                raise ValueError("non-finite float reached the encoder")
-            return _float_17g(f)
-
-        it = json.encoder._make_iterencode(
-            markers, self.default, enc, self.indent, floatstr,
-            self.key_separator, self.item_separator, self.sort_keys,
-            self.skipkeys, _one_shot)
-        return it(o, 0)
+def _emit(x, indent: str = "") -> str:
+    # json.dumps(indent=2) layout, with floats at 17 significant digits
+    inner = indent + "  "
+    if isinstance(x, dict) and x:
+        items = (f"{inner}{json.dumps(k)}: {_emit(v, inner)}"
+                 for k, v in x.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(x, list) and x:
+        items = (inner + _emit(v, inner) for v in x)
+        return "[\n" + ",\n".join(items) + f"\n{indent}]"
+    return _float_17g(x) if isinstance(x, float) else json.dumps(x)
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(to_jsonable(report), cls=_ReportEncoder, indent=2)
+    return _emit(to_jsonable(report))

@@ -2,10 +2,10 @@
 
 time_update is the open-loop propagation A X A' + Q (applied when the
 measurement packet is lost); measurement_update is the Riccati step that
-also absorbs one received measurement. kf_step dispatches on the arrival
-bit. fixed_gain_update evaluates the depth-i update for an arbitrary
-fixed gain; its minimum over gains is the i-fold measurement_update,
-attained at the optimal gain (the basis of the stability analysis).
+also absorbs one received measurement. fixed_gain_update evaluates the
+depth-i update for an arbitrary fixed gain; its minimum over gains is the
+i-fold measurement_update, attained at the optimal gain (the basis of the
+stability analysis).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "time_update",
     "measurement_update",
     "optimal_gain",
-    "kf_step",
     "iterate",
     "fixed_gain_update",
     "dare_fixed_point",
@@ -84,12 +83,6 @@ def measurement_update(sys: SystemModel, X) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def kf_step(sys: SystemModel, P, received) -> np.ndarray:
-    """One filter step: measurement_update when the packet arrived
-    (received truthy), time_update when it was lost."""
-    return measurement_update(sys, P) if received else time_update(sys, P)
-
-
 def iterate(op: Callable, sys: SystemModel, X, k: int) -> np.ndarray:
     """k-fold composition of a covariance update; k = 0 is the identity."""
     if k < 0:
@@ -136,11 +129,9 @@ def dare_fixed_point(
     """
     P = sys.Q.copy()
     for _ in range(max_iter):
-        nxt = measurement_update(sys, P)
-        if np.linalg.norm(nxt - P) <= rel_tol * (1.0 + np.linalg.norm(nxt)):
-            P = nxt
+        P, prev = measurement_update(sys, P), P
+        if np.linalg.norm(P - prev) <= rel_tol * (1.0 + np.linalg.norm(P)):
             break
-        P = nxt
     else:
         raise NoConvergence(f"no fixed point within {max_iter} iterations")
     resid = np.linalg.norm(measurement_update(sys, P) - P)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg
 from .errors import DimensionMismatch, NotStable
@@ -119,8 +118,7 @@ def min_norm_gain(sys: SystemModel, depth: int) -> tuple[float, np.ndarray]:
     obs = stacked(sys, depth).obs_map
     Ad = np.linalg.matrix_power(sys.A, depth)
     _, sv, vt = np.linalg.svd(obs)
-    rank_tol = max(obs.shape) * np.finfo(float).eps
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0 else 0
+    rank = linalg.sv_rank(sv, obs.shape)
     null = vt[rank:].T
     d = linalg.spectral_norm_sq(Ad @ null) if null.shape[1] else 0.0
     rowspace = vt[:rank].T
@@ -281,12 +279,78 @@ def _pack(gains: list[np.ndarray]) -> np.ndarray:
 
 
 def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
-    out, at = [], 0
-    for shp in shapes:
-        size = shp[0] * shp[1]
-        out.append(x[at:at + size].reshape(shp))
-        at += size
-    return out
+    ends = np.cumsum([r * c for r, c in shapes])[:-1]
+    return [p.reshape(shp) for p, shp in zip(np.split(x, ends), shapes)]
+
+
+class _Exhausted(Exception):
+    """_nelder_mead's evaluation budget ran out."""
+
+
+def _nelder_mead(f, x0: np.ndarray, maxfev: int, tol: float):
+    """Nelder-Mead simplex search (Nelder & Mead, 1965) from x0; returns
+    the best vertex and the least value.
+
+    A step-for-step port of SciPy's unbounded, non-adaptive
+    minimize(method="Nelder-Mead"), equal to it bit for bit: start steps
+    of 1.05x (0.00025 at 0), coefficients 1, 2, 1/2, 1/2, a stop once the
+    vertex and value spreads are both <= tol, or at the first evaluation
+    past maxfev, even partway through a shrink.
+    """
+    calls = 0
+
+    def fun(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Exhausted
+        calls += 1
+        return f(x)
+
+    N = x0.size
+    sim = np.tile(x0, (N + 1, 1))
+    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    fsim = np.full(N + 1, np.inf)
+    try:
+        for k in range(N + 1):
+            fsim[k] = fun(sim[k])
+    except _Exhausted:
+        pass
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= tol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = 2 * xbar - sim[-1]
+            fxr = fun(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = fun(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                # contract outside when xr beats the worst vertex, else inside
+                outside = fxr < fsim[-1]
+                if outside:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = fun(xc)
+                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = fun(sim[j])
+        except _Exhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+    return sim[0], np.min(fsim)
 
 
 def search_gains(
@@ -299,9 +363,11 @@ def search_gains(
     """Find a gain set with small spectral radius.
 
     Seeds at the closed-form minimum-norm gains; optionally refines by
-    Nelder-Mead over all gain entries (objective: the spectral radius,
-    evaluation budget `budget`). The seed is kept whenever refinement
-    fails to improve, so the result never exceeds the seeded radius.
+    Nelder-Mead over all gain entries (objective: the spectral radius, at
+    most `budget` evaluations, vertex and value tolerance `xtol`). The
+    optimizer is _nelder_mead, a numpy port that reproduces SciPy's
+    Nelder-Mead bit for bit. The seed is kept whenever refinement fails to
+    improve, so the result never exceeds the seeded radius.
     """
     _, seed = closed_form_gains(sys)
     rho_seed = gain_condition_matrix(sys, loss, seed).rho
@@ -312,14 +378,9 @@ def search_gains(
     def objective(x):
         return gain_condition_matrix(sys, loss, _unpack(x, shapes)).rho
 
-    res = scipy.optimize.minimize(
-        objective,
-        _pack(seed),
-        method="Nelder-Mead",
-        options={"maxfev": budget, "xatol": xtol, "fatol": xtol, "disp": False},
-    )
-    if np.isfinite(res.fun) and res.fun < rho_seed:
-        return _unpack(res.x, shapes), float(res.fun)
+    x, fun = _nelder_mead(objective, _pack(seed), budget, xtol)
+    if np.isfinite(fun) and fun < rho_seed:
+        return _unpack(x, shapes), float(fun)
     return seed, rho_seed
 
 
@@ -360,10 +421,7 @@ def compare_conditions(
     d, seed = closed_form_gains(sys)
     rho_norm = norm_condition_matrix(sys, loss, d).rho
     rho_seed = gain_condition_matrix(sys, loss, seed).rho
-    if refine:
-        gains, rho_ref = search_gains(sys, loss, refine=True)
-    else:
-        gains, rho_ref = seed, rho_seed
+    gains, rho_ref = search_gains(sys, loss) if refine else (seed, rho_seed)
     return ComparisonReport(
         d=d,
         rho_norm=rho_norm,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peakcov import LossModel, SystemModel
+from peakcov import LossModel, SystemModel, Unobservable, observability_index
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -81,3 +81,27 @@ def jordan_plant() -> SystemModel:
 @pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return PROBLEMS_DIR
+
+
+@pytest.fixture(scope="session")
+def random_problem():
+    """Builder of seeded random problems: an n-state, m-output plant and a
+    loss chain with bursts up to s, or None when (A, C) is unobservable.
+    Every row of the chain is mixed with weight `idle` into state 0 (a
+    loss-free gap), so a large `idle` makes the gain condition stable."""
+
+    def build(rng, n, m, s, scale=1.0, idle=0.0):
+        B, D, E = (rng.standard_normal((k, k)) for k in (n, m, n))
+        sysm = SystemModel(A=scale * rng.standard_normal((n, n)) / np.sqrt(n),
+                           C=rng.standard_normal((m, n)),
+                           Q=B @ B.T + 0.1 * np.eye(n),
+                           R=D @ D.T + 0.1 * np.eye(m), Sigma0=E @ E.T)
+        try:
+            observability_index(sysm)
+        except Unobservable:
+            return None
+        Pi = (1 - idle) * rng.dirichlet(np.ones(s + 1), size=s + 1)
+        Pi[:, 0] += idle
+        return sysm, LossModel(Pi=Pi)
+
+    return build

@@ -7,11 +7,15 @@ are independent of the pytest capture mode.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+import peakcov
 from peakcov import load_problem, verify_certificate
 from peakcov.cli import main
 from peakcov.problems import file_digest
@@ -138,7 +142,11 @@ def test_simulate_csv_repeatable(tmp_path, problems_dir):
     ("simulate", "stable_burst2", "--runs", "0"),
     ("simulate", "stable_burst2", "--horizon", "-3"),
     ("analyze", "resonant_rotation", "--tol", "-5"),
-], ids=["runs-0", "horizon-negative", "tol-negative"])
+    ("simulate", "stable_burst2", "--seed", "-1"),
+    # run i is keyed seed + i, so run 1 would need the 129-bit key 2**128
+    ("simulate", "stable_burst2", "--seed", str(2**128 - 1), "--runs", "2"),
+], ids=["runs-0", "horizon-negative", "tol-negative", "seed-negative",
+        "seed-key-overflow"])
 def test_out_of_range_flags_exit_two(problems_dir, argv):
     cmd, problem, *flags = argv
     code, out, err = _run(cmd, str(problems_dir / f"{problem}.json"), *flags)
@@ -191,7 +199,8 @@ def test_transform_singular_matrix(tmp_path, problems_dir):
     code, _, err = _run("transform", str(problems_dir / "stable_burst2.json"),
                         "--S", str(s_path))
     assert code == 2
-    assert "pivot" in err
+    assert err.startswith("peakcov: error:") and err.count("\n") == 1
+    assert "smallest singular value" in err
 
 
 def test_compare_exit_codes(problems_dir):
@@ -210,3 +219,15 @@ def test_version_flag():
         main(["--version"])
     assert exc.value.code == 0
     assert out.getvalue().strip() == "peakcov 0.1.0"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules other tests imported do not count
+    code = ("import sys, peakcov, peakcov.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(os.path.abspath(peakcov.__file__))))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.strip() == "[]"

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from peakcov import (
     NotSymmetric,
     Singular,
+    closed_form_gains,
     gain_condition_matrix,
     kron,
     null_space_basis,
@@ -176,6 +178,36 @@ def test_solve_matches_neumann_series(plant, chain_burst2):
 def test_solve_singular_raises():
     with pytest.raises(Singular):
         solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
+
+
+def test_solve_singular_boundary():
+    # singular value ratios 2.5e-15 and 2.5e-7 sit on either side of the
+    # 1e-12 rule, as they did of the old LU pivot floor
+    with pytest.raises(Singular):
+        solve([[1.0, 1.0], [1.0, 1.0 + 1e-14]], [1.0, 0.0])
+    x = solve([[1.0, 1.0], [1.0, 1.0 + 1e-6]], [1.0, 0.0])
+    np.testing.assert_allclose(x, [1e6 + 1.0, -1e6], rtol=1e-9)
+
+
+@pytest.mark.parametrize("n,s", [(2, 1), (3, 2), (4, 3), (6, 4), (8, 4)])
+def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
+    # the one stated tolerance for the rounding of np.linalg.solve against
+    # scipy's LU on the systems build_certificate solves
+    rng = np.random.default_rng(100 * n + s)
+    found = 0
+    while found < 4:
+        problem = random_problem(rng, n, 1, s, scale=1.3, idle=0.5)
+        if problem is None:
+            continue
+        sysm, loss = problem
+        H = gain_condition_matrix(sysm, loss, closed_form_gains(sysm)[1])
+        if H.rho >= 0.99:
+            continue
+        lhs = np.eye(s * n * n) - H.matrix
+        rhs = np.concatenate([vec(np.eye(n))] * s)
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(lhs), rhs)
+        assert np.linalg.norm(solve(lhs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        found += 1
 
 
 def test_null_space_basis_cases(plant):

@@ -11,7 +11,6 @@ from peakcov import (
     dare_fixed_point,
     fixed_gain_update,
     iterate,
-    kf_step,
     measurement_update,
     optimal_gain,
     time_update,
@@ -156,13 +155,6 @@ def test_dare_residual(plant):
     p = dare_fixed_point(plant)
     resid = np.linalg.norm(measurement_update(plant, p) - p)
     assert resid <= 1e-10 * (1 + np.linalg.norm(p))
-
-
-def test_kf_step_gating(plant):
-    x = np.array([[2.0, 0.3], [0.3, 1.5]])
-    np.testing.assert_array_equal(kf_step(plant, x, 0), time_update(plant, x))
-    np.testing.assert_array_equal(kf_step(plant, x, 1),
-                                  measurement_update(plant, x))
 
 
 def test_all_reception_stream_converges_to_fixed_point(plant):

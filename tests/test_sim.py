@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from peakcov import (
     LossModel,
-    SystemModel,
-    Unobservable,
     enumerate_first_peak,
     gaps_to_arrivals,
     growth_trend,
     load_problem,
     mc_estimate,
     measurement_update,
-    observability_index,
     sample_gaps,
     simulate_run,
     time_update,
@@ -183,19 +180,11 @@ def test_mc_matches_reference_sizes(plant, chain_burst2, runs, horizon):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
        m=st.integers(1, 2), s=st.integers(1, 3), runs=st.integers(1, 6),
        horizon=st.integers(1, 40), base_seed=st.integers(0, 2**40))
-def test_mc_matches_reference_random_plants(seed, n, m, s, runs, horizon,
-                                            base_seed):
-    rng = np.random.default_rng(seed)
-    B, D, E = (rng.standard_normal((k, k)) for k in (n, m, n))
-    sysm = SystemModel(A=rng.standard_normal((n, n)) / np.sqrt(n),
-                       C=rng.standard_normal((m, n)),
-                       Q=B @ B.T + 0.1 * np.eye(n), R=D @ D.T + 0.1 * np.eye(m),
-                       Sigma0=E @ E.T)
-    try:
-        observability_index(sysm)
-    except Unobservable:
-        assume(False)
-    loss = LossModel(Pi=rng.dirichlet(np.ones(s + 1), size=s + 1))
+def test_mc_matches_reference_random_plants(random_problem, seed, n, m, s,
+                                            runs, horizon, base_seed):
+    problem = random_problem(np.random.default_rng(seed), n, m, s)
+    assume(problem is not None)
+    sysm, loss = problem
     np.testing.assert_array_equal(sample_gaps(loss, 50, base_seed),
                                   _reference_gaps(loss, 50, base_seed))
     _assert_matches_reference(sysm, loss, runs, horizon, base_seed)
