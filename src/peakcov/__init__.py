@@ -11,7 +11,6 @@ from .errors import (
     NoConvergence,
     NotErgodic,
     NotStable,
-    NotSymmetric,
     PeakcovError,
     ProblemFormatError,
     QNotPSD,
@@ -21,25 +20,18 @@ from .errors import (
     Uncontrollable,
 )
 from .linalg import (
-    kron,
-    null_space_basis,
     solve,
     spectral_norm_sq,
     spectral_radius,
-    sym_eig,
     unvec,
     vec,
 )
 from .markov import (
     LossModel,
     PeriodicChainWarning,
-    arrivals_to_gaps,
-    gaps_to_arrivals,
-    sample_gaps,
     sojourn_pmf,
     stationary,
     submatrices,
-    truncation_span,
 )
 from .problems import dumps_report, load_matrix_file, load_problem
 from .riccati import (
@@ -53,12 +45,10 @@ from .riccati import (
 from .sim import (
     FirstPeakEnumeration,
     McEstimate,
-    RunRecord,
     TrendStat,
     enumerate_first_peak,
     growth_trend,
     mc_estimate,
-    simulate_run,
 )
 from .stability import (
     STABILITY_TOL,
@@ -90,20 +80,17 @@ from .system import (
 __all__ = [
     "__version__",
     # errors
-    "PeakcovError", "NoConvergence", "NotSymmetric", "Singular",
-    "DimensionMismatch", "Unobservable", "Uncontrollable",
-    "RNotPositiveDefinite", "QNotPSD", "CovarianceNotPSD", "NotErgodic",
-    "NotStable", "ProblemFormatError",
+    "PeakcovError", "NoConvergence", "Singular", "DimensionMismatch",
+    "Unobservable", "Uncontrollable", "RNotPositiveDefinite", "QNotPSD",
+    "CovarianceNotPSD", "NotErgodic", "NotStable", "ProblemFormatError",
     # linear algebra
-    "kron", "vec", "unvec", "spectral_radius", "spectral_norm_sq",
-    "sym_eig", "solve", "null_space_basis",
+    "vec", "unvec", "spectral_radius", "spectral_norm_sq", "solve",
     # system
     "SystemModel", "StackedModel", "ValidationReport",
     "ModelAssumptionWarning", "validate", "observability_index", "stacked",
     # loss chain
     "LossModel", "PeriodicChainWarning", "stationary", "submatrices",
-    "sojourn_pmf", "truncation_span", "sample_gaps", "gaps_to_arrivals",
-    "arrivals_to_gaps",
+    "sojourn_pmf",
     # covariance updates
     "time_update", "measurement_update", "optimal_gain", "iterate",
     "fixed_gain_update", "dare_fixed_point",
@@ -114,8 +101,8 @@ __all__ = [
     "verify_certificate", "strict_margin_floor", "search_gains",
     "similarity_transform", "compare_conditions",
     # simulation
-    "RunRecord", "McEstimate", "FirstPeakEnumeration", "TrendStat",
-    "simulate_run", "mc_estimate", "enumerate_first_peak", "growth_trend",
+    "McEstimate", "FirstPeakEnumeration", "TrendStat", "mc_estimate",
+    "enumerate_first_peak", "growth_trend",
     # problem files
     "load_problem", "load_matrix_file", "dumps_report",
 ]

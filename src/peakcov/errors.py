@@ -10,10 +10,6 @@ class NoConvergence(PeakcovError):
     """An iterative numerical routine exhausted its budget."""
 
 
-class NotSymmetric(PeakcovError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class Singular(PeakcovError):
     """A linear solve met a numerically singular matrix."""
 

@@ -1,10 +1,9 @@
 """Dense real linear-algebra kernel.
 
-Kronecker products, column-major vectorization, spectral radii of
-nonsymmetric matrices, symmetric eigendecomposition, SVD ranks and null
-spaces, and rank-checked linear solves. Everything is a pure function of
-ndarrays; all routines reject NaN/Inf input. numpy is the only
-dependency.
+Column-major vectorization, spectral radii of nonsymmetric matrices,
+spectral norms, SVD ranks, and rank-checked linear solves. Everything
+is a pure function of ndarrays; all routines reject NaN/Inf input.
+numpy is the only dependency.
 
 Eigenvalues of nonsymmetric matrices come from LAPACK's Hessenberg
 reduction + implicitly shifted QR (real Schur form); solves are LU with
@@ -16,22 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric, Singular
+from .errors import NoConvergence, Singular
 
 __all__ = [
-    "kron",
     "vec",
     "unvec",
     "spectral_radius",
     "spectral_norm_sq",
     "sym_spectral_norm",
-    "sym_eig",
     "solve",
-    "null_space_basis",
-    "DEFAULT_EIG_TOL",
 ]
-
-DEFAULT_EIG_TOL = 1e-9
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -45,15 +38,10 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
 def vec(m) -> np.ndarray:
     """Stack the columns of m into a 1-d vector (column-major).
 
-    Satisfies vec(A B C) = kron(C.T, A) @ vec(B).
+    Satisfies vec(A B C) = np.kron(C.T, A) @ vec(B).
     """
     return _as_matrix(m).flatten(order="F")
 
@@ -66,19 +54,17 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
     return a.reshape((rows, cols), order="F")
 
 
-def spectral_radius(m, tol: float = DEFAULT_EIG_TOL) -> float:
+def spectral_radius(m) -> float:
     """Largest |eigenvalue| of a square real matrix.
 
     Uses the QR eigensolver (Hessenberg + implicitly shifted QR); for
     matrices at this library's scale the achieved eigenvalue error is
-    machine precision, well inside tol*(1+||m||) for any tol >= 1e-12.
-    Raises NoConvergence if the QR iteration fails to deflate.
+    machine precision. Raises NoConvergence if the QR iteration fails
+    to deflate.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got {a.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     try:
         w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -104,24 +90,6 @@ def sym_spectral_norm(m):
     w = np.linalg.eigvalsh(np.asarray(m, dtype=float))
     top = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     return float(top) if top.ndim == 0 else top
-
-
-def sym_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Raises NotSymmetric if the relative asymmetry exceeds 1e-12.
-    Reconstruction V diag(w) V.T matches m to 1e-10*(1+||m||).
-    """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > 1e-12 * scale:
-        raise NotSymmetric(
-            f"asymmetry {np.linalg.norm(a - a.T):.3e} exceeds 1e-12 relative"
-        )
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    return w, v
 
 
 def solve(a, b) -> np.ndarray:
@@ -153,14 +121,3 @@ def sv_rank(sv: np.ndarray, shape, rtol: float | None = None) -> int:
     if rtol is None:
         rtol = max(shape) * np.finfo(float).eps
     return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0
-
-
-def null_space_basis(m, rank_tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the null space {x : m x = 0}, as columns.
-
-    Rank is decided by sv_rank (rank_tol defaults to max(rows, cols) *
-    machine epsilon). Returns an n x 0 matrix when m has full column rank.
-    """
-    a = _as_matrix(m)
-    _, sv, vt = np.linalg.svd(a)
-    return vt[sv_rank(sv, a.shape, rank_tol):].T.copy()

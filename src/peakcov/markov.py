@@ -8,7 +8,8 @@ column j) and starts from its stationary law.
 A "sojourn path" ((a_1, b_1), ..., (a_l, b_l)) describes the arrival
 stream seen burst-by-burst: a_j spans the successes leading into burst j
 (a_j >= 1) and b_j in {1, ..., s} is that burst's length. sojourn_pmf
-gives the exact joint probability of such a prefix.
+gives the exact joint probability of such a prefix. _sample_arrivals
+draws seeded arrival streams, one per seed, for the simulator.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ __all__ = [
     "stationary",
     "submatrices",
     "sojourn_pmf",
-    "truncation_span",
-    "sample_gaps",
-    "gaps_to_arrivals",
-    "arrivals_to_gaps",
     "PeriodicChainWarning",
 ]
 
@@ -42,24 +39,32 @@ class PeriodicChainWarning(UserWarning):
 def stationary(Pi) -> np.ndarray:
     """Unique probability vector fixed by a row-stochastic matrix.
 
-    Raises NotErgodic when the eigenvalue-1 eigenspace of Pi.T is not
-    one-dimensional.
+    Raises NotErgodic unless the transition graph has exactly one closed
+    communicating class, i.e. some state is reachable from every state.
+    The law comes from the off-diagonal entries alone by GTH elimination
+    (Grassmann, Taksar & Heyman, 1985): no subtraction, so a chain whose
+    states are nearly absorbing keeps full relative accuracy.
     """
     P = linalg._as_matrix(Pi, "Pi")
-    w, v = np.linalg.eig(P.T)
-    ones = np.abs(w - 1.0) < 1e-9
-    if int(ones.sum()) != 1:
-        raise NotErgodic(
-            f"eigenvalue-1 multiplicity is {int(ones.sum())}, expected 1"
-        )
-    vec = np.real(v[:, ones][:, 0])
-    vec = np.clip(vec, 0.0, None) if vec.sum() >= 0 else np.clip(-vec, 0.0, None)
-    total = vec.sum()
-    if total <= 0:
-        raise NotErgodic("stationary eigenvector is not sign-definite")
-    pi = vec / total
-    if np.linalg.norm(pi @ P - pi) > 1e-10:
-        raise NotErgodic("stationary residual exceeds 1e-10")
+    n = P.shape[0]
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # transitive closure by squaring
+        reach = reach @ reach
+    roots = np.flatnonzero(reach.all(axis=0))
+    if roots.size == 0:
+        raise NotErgodic("the chain has more than one closed class")
+    # put a state of the closed class first: every censored chain reaches it
+    order = np.r_[roots[0], np.delete(np.arange(n), roots[0])]
+    A = P[np.ix_(order, order)]
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    x = np.zeros(n)
+    x[0] = 1.0
+    for k in range(1, n):
+        x[k] = x[:k] @ A[:k, k]
+    pi = np.empty(n)
+    pi[order] = x / x.sum()
     return pi
 
 
@@ -146,58 +151,23 @@ def sojourn_pmf(model: LossModel, path) -> float:
     return float(prob)
 
 
-def truncation_span(model: LossModel, eps: float = 1e-12, cap: int = 10_000) -> int:
-    """Smallest a_max with residual mass pi_stat[0] * p00^(a_max-1) < eps,
-    capped. Enumerations over a_1 <= a_max neglect exactly that tail."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pi0 = float(model.pi_stat[0])
-    p00 = float(model.Pi[0, 0])
-    a = 1
-    while pi0 * p00 ** (a - 1) >= eps and a < cap:
-        a += 1
-    return a
-
-
-def _draw(cdf: np.ndarray, u) -> np.ndarray:
-    """Inverse-CDF draw from each row of `cdf` at uniforms `u`: the count
-    of entries <= u, i.e. searchsorted(side="right"), clipped to the last
-    state against cumulative rounding at 1.0."""
-    return np.minimum((cdf <= u[..., None]).sum(-1), cdf.shape[-1] - 1)
-
-
-def _cdf_rows(model: LossModel) -> np.ndarray:
-    # row s+1, the stationary CDF, is the "state" the first gap comes from
-    return np.vstack([np.cumsum(model.Pi, axis=1), np.cumsum(model.pi_stat)])
-
-
-def sample_gaps(model: LossModel, count: int, seed: int) -> np.ndarray:
-    """Sample a gap chain of the given length, deterministically per seed.
-
-    First gap from the stationary law, then row-wise transitions. The
-    generator is counter-based (Philox), so distinct seeds give
-    independent streams without shared state.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    u = np.random.Generator(np.random.Philox(key=int(seed))).random(count)
-    nxt = _draw(_cdf_rows(model), u[:, None])  # next state from each state
-    out = np.empty(count, dtype=np.int64)
-    state = model.s + 1
-    for k in range(count):
-        state = out[k] = nxt[k, state]
-    return out
-
-
 _DRAW_BLOCK = 64  # uniforms drawn per stream at a time; results ignore it
 
 
 def _sample_arrivals(model: LossModel, horizon: int, seeds) -> np.ndarray:
-    """(horizon, runs) arrival bits; column r is gaps_to_arrivals(
-    sample_gaps(model, horizon, seeds[r]))[:horizon]. The chains step
-    together, each on its own stream, until all cover the horizon."""
+    """(horizon, runs) arrival bits, one column per seed.
+
+    Column r steps the gap chain on the Philox stream keyed seeds[r]:
+    uniform k picks gap k by inverse CDF, the first from the stationary
+    law and each later one from the row of the gap before, and gap j
+    writes j losses then one reception. A column depends on its seed
+    alone and extends, never reshuffles, as the horizon grows. The
+    chains step together until all cover the horizon.
+    """
     gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
-    cdf, cols = _cdf_rows(model), np.arange(len(gens))
+    # row s+1, the stationary CDF, is the "state" the first gap comes from
+    cdf = np.vstack([np.cumsum(model.Pi, axis=1), np.cumsum(model.pi_stat)])
+    cols = np.arange(len(gens))
     # chains past the horizon park at it, receiving in the s+1 spare rows
     arr = np.zeros((horizon + model.s + 1, len(gens)), dtype=bool)
     start = np.zeros(len(gens), dtype=np.int64)  # first slot of next gap
@@ -209,34 +179,8 @@ def _sample_arrivals(model: LossModel, horizon: int, seeds) -> np.ndarray:
         if step % u.shape[1] == 0:
             for g, row in zip(gens, u):
                 g.random(out=row)
-        state = _draw(cdf[state], u[:, step % u.shape[1]])
+        # count of CDF entries <= u, clipped against rounding at 1.0
+        state = np.minimum((cdf[state] <= u[:, step % u.shape[1], None])
+                           .sum(1), model.s)
         arr[start + state, cols] = True
         start = np.minimum(start + state + 1, horizon)
-
-
-def gaps_to_arrivals(gaps) -> np.ndarray:
-    """Expand gap values into the 0/1 arrival stream: gap j emits j
-    zeros (losses) followed by a single one (the reception)."""
-    g = np.asarray(gaps, dtype=np.int64)
-    if g.ndim != 1:
-        raise ValueError("gaps must be 1-dimensional")
-    if g.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if np.any(g < 0):
-        raise ValueError("gap values must be nonnegative")
-    ends = np.cumsum(g + 1)
-    out = np.zeros(int(ends[-1]), dtype=np.int64)
-    out[ends - 1] = 1
-    return out
-
-
-def arrivals_to_gaps(arrivals) -> np.ndarray:
-    """Recover the gap sequence from a 0/1 stream. Trailing losses after
-    the final reception belong to no completed gap and are dropped."""
-    a = np.asarray(arrivals, dtype=np.int64)
-    if a.ndim != 1:
-        raise ValueError("arrivals must be 1-dimensional")
-    if np.any((a != 0) & (a != 1)):
-        raise ValueError("arrival stream must be 0/1 valued")
-    ones = np.flatnonzero(a == 1)
-    return np.diff(ones, prepend=-1) - 1

@@ -1,13 +1,13 @@
 """Monte Carlo simulation of the loss-gated filter and exact
 enumeration of the first post-burst covariance.
 
-A run draws an arrival stream from the loss model, starts the one-step
-prediction covariance at Sigma0, and advances it with the reception map
-on arrival slots and the open-loop map on loss slots. Post-burst instants
-are receptions whose preceding slot was a loss; the covariance entering
-such an instant is a local maximum of the stream (it only shrinks on
-receptions), and its norm sequence is the quantity whose boundedness is
-being tested.
+mc_estimate draws one arrival stream per run from the loss model,
+starts each one-step prediction covariance at Sigma0, and advances all
+runs together with the reception map on arrival slots and the
+open-loop map on loss slots. Post-burst instants are receptions whose
+preceding slot was a loss; the covariance entering such an instant is
+a local maximum of the stream (it only shrinks on receptions), and its
+norm sequence is the quantity whose boundedness is being tested.
 
 enumerate_first_peak integrates the first post-burst covariance exactly
 over all arrival prefixes (leading run of zero-gaps, then the first
@@ -29,24 +29,13 @@ from .riccati import check_cov, measurement_update, time_update
 from .system import SystemModel
 
 __all__ = [
-    "RunRecord",
     "McEstimate",
     "FirstPeakEnumeration",
     "TrendStat",
-    "simulate_run",
     "mc_estimate",
     "enumerate_first_peak",
     "growth_trend",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class RunRecord:
-    seed: int
-    horizon: int
-    beta_times: np.ndarray  # 1-based slot indices of post-burst receptions
-    peak_norms: np.ndarray  # ||P|| entering each post-burst reception
-    post_norms: np.ndarray  # ||P|| one slot after it
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,42 +71,17 @@ class TrendStat:
 def _post_bursts(sys: SystemModel, arr: np.ndarray):
     """Propagate one covariance per column of the slot-major arrival bits
     `arr` as one (runs, n, n) stack from Sigma0: each slot computes both
-    updates and keeps the one each run's bit selects. Yields (k, runs, P,
-    Pn) at each 0-based slot k with post-burst receptions: the runs
-    receiving there, their covariances entering slot k and after it."""
+    updates and keeps the one each run's bit selects. Yields (runs, P) at
+    each slot with post-burst receptions: the runs receiving there after
+    a loss and their covariances entering the slot. A reception in the
+    first slot is never post-burst (there is no preceding slot)."""
     P = np.repeat(sys.Sigma0[None], arr.shape[1], axis=0)
     for k, bits in enumerate(arr):
         Pn = measurement_update(sys, P)
         hit = np.flatnonzero(bits & ~arr[k - 1]) if k else []
         if len(hit):
-            yield k, hit, P[hit], Pn[hit]
+            yield hit, P[hit]
         P = np.where(bits[:, None, None], Pn, time_update(sys, P))
-
-
-def simulate_run(
-    sys: SystemModel, loss: LossModel, horizon: int, seed: int
-) -> RunRecord:
-    """One covariance stream of `horizon` slots.
-
-    The prediction covariance starts at Sigma0 in slot 1. A reception in
-    slot 1 is never post-burst (there is no preceding slot).
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    check_cov(sys.Sigma0, "Sigma0")
-    arr = _sample_arrivals(loss, horizon, [seed])
-    beta, peaks, posts = [], [], []
-    for k, _, P, Pn in _post_bursts(sys, arr):
-        beta.append(k + 1)
-        peaks.append(linalg.sym_spectral_norm(P)[0])
-        posts.append(linalg.sym_spectral_norm(Pn)[0])
-    return RunRecord(
-        seed=seed,
-        horizon=horizon,
-        beta_times=np.asarray(beta, dtype=np.int64),
-        peak_norms=np.asarray(peaks, dtype=float),
-        post_norms=np.asarray(posts, dtype=float),
-    )
 
 
 def mc_estimate(
@@ -130,9 +94,9 @@ def mc_estimate(
     """Per-index statistics of post-burst norms over `runs` streams.
 
     Run i uses the Philox stream base_seed + i, so ensembles are
-    bit-identical whatever the batch: run i's peak norms equal
-    simulate_run(..., base_seed + i).peak_norms, and each index's mean
-    and stderr reduce the same values in run order.
+    bit-identical whatever the batch: run i's peak norms equal those of
+    mc_estimate(..., runs=1, base_seed=base_seed + i), and each index's
+    mean and stderr reduce the same values in run order.
     """
     if runs < 1 or horizon < 1:
         raise ValueError("runs and horizon must be >= 1")
@@ -142,7 +106,7 @@ def mc_estimate(
     ends = np.cumsum(per_run)
     flat = np.empty(int(ends[-1]))
     fill = ends - per_run  # next free slot of each run in `flat`
-    for _, hit, P, _ in _post_bursts(sys, arr):
+    for hit, P in _post_bursts(sys, arr):
         flat[fill[hit]] = linalg.sym_spectral_norm(P)
         fill[hit] += 1
     # peak index of each norm; a stable sort keeps run order within one

@@ -27,7 +27,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotStable
 from .markov import LossModel, submatrices
-from .system import SystemModel, observability_index, stacked
+from .system import SystemModel, _obs_stack, observability_index
 
 __all__ = [
     "STABILITY_TOL",
@@ -113,9 +113,9 @@ def min_norm_gain(sys: SystemModel, depth: int) -> tuple[float, np.ndarray]:
     with V spanning the row space. Zero for depth >= the observability
     index (trivial null space).
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    obs = stacked(sys, depth).obs_map
+    if not 1 <= depth <= sys.n:
+        raise ValueError(f"depth must be in 1..{sys.n}, got {depth}")
+    obs = _obs_stack(sys.A, sys.C, depth)
     Ad = np.linalg.matrix_power(sys.A, depth)
     _, sv, vt = np.linalg.svd(obs)
     rank = linalg.sv_rank(sv, obs.shape)
@@ -138,16 +138,11 @@ def closed_form_gains(sys: SystemModel) -> tuple[list[float], list[np.ndarray]]:
 
 def _burst_factors(sys: SystemModel, gains: list[np.ndarray]) -> list[np.ndarray]:
     """F_l = A^l + K_l @ obs_map_l for each gain depth."""
-    out = []
-    for l, K in enumerate(gains, start=1):
-        obs = stacked(sys, l).obs_map
-        out.append(np.linalg.matrix_power(sys.A, l) + K @ obs)
-    return out
+    return [np.linalg.matrix_power(sys.A, l) + K @ _obs_stack(sys.A, sys.C, l)
+            for l, K in enumerate(gains, start=1)]
 
 
-def gain_condition_matrix(
-    sys: SystemModel, loss: LossModel, gains, tol: float = linalg.DEFAULT_EIG_TOL
-) -> StabilityMatrix:
+def gain_condition_matrix(sys: SystemModel, loss: LossModel, gains) -> StabilityMatrix:
     """Assemble the s*n^2 stability operator for a gain set.
 
     Block structure: diag((A kron A)^j, j=1..s) applied to
@@ -172,12 +167,10 @@ def gain_condition_matrix(
     for j in range(s):
         blk = blk @ AA
         H[j * n * n:(j + 1) * n * n, :] = blk @ M[j * n * n:(j + 1) * n * n, :]
-    return StabilityMatrix(matrix=H, rho=linalg.spectral_radius(H, tol))
+    return StabilityMatrix(matrix=H, rho=linalg.spectral_radius(H))
 
 
-def norm_condition_matrix(
-    sys: SystemModel, loss: LossModel, d, tol: float = linalg.DEFAULT_EIG_TOL
-) -> StabilityMatrix:
+def norm_condition_matrix(sys: SystemModel, loss: LossModel, d) -> StabilityMatrix:
     """Assemble the s x s norm-bound condition matrix.
 
     [d_1 * P_blk + (sum over depths 2..Io-1 of p00^(l-1) d_l) * Q_blk]
@@ -201,7 +194,7 @@ def norm_condition_matrix(
         Aj = Aj @ sys.A
         powers.append(linalg.spectral_norm_sq(Aj))
     Phi = core @ np.diag(powers)
-    return StabilityMatrix(matrix=Phi, rho=linalg.spectral_radius(Phi, tol))
+    return StabilityMatrix(matrix=Phi, rho=linalg.spectral_radius(Phi))
 
 
 def verify_certificate(sys: SystemModel, loss: LossModel, gains, blocks) -> float:

@@ -146,7 +146,7 @@ def observability_index(sys: SystemModel) -> int:
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     # principal symmetric square root; negative dust clamped at zero
-    w, v = linalg.sym_eig(m)
+    w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.T
 

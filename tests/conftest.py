@@ -105,3 +105,25 @@ def random_problem():
         return sysm, LossModel(Pi=Pi)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def reference_gaps():
+    """The gap chain of one seed, sampled apart from the package: uniform
+    k of the seed's Philox stream picks gap k by searchsorted on the CDF
+    of the previous gap's row (the stationary CDF for the first gap). The
+    next state from every state is tabulated up front, so a million gaps
+    take one Python loop."""
+
+    def sample(loss, count, seed):
+        u = np.random.Generator(np.random.Philox(key=int(seed))).random(count)
+        cdfs = np.vstack([np.cumsum(loss.Pi, axis=1), np.cumsum(loss.pi_stat)])
+        nxt = np.stack([np.searchsorted(c, u, side="right") for c in cdfs], 1)
+        nxt = np.minimum(nxt, loss.s).tolist()
+        out, state = [], loss.s + 1  # row s+1: the stationary CDF
+        for row in nxt:
+            state = row[state]
+            out.append(state)
+        return np.array(out, dtype=np.int64)
+
+    return sample

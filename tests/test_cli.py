@@ -231,3 +231,16 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_package_line_ceiling_and_exports():
+    # the package must not grow past 2026 lines (ROADMAP aim 2), and every
+    # exported name must resolve
+    src = os.path.dirname(os.path.abspath(peakcov.__file__))
+    lines = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as f:
+                lines += sum(1 for _ in f)
+    assert lines <= 2026
+    assert [n for n in peakcov.__all__ if not hasattr(peakcov, n)] == []

@@ -5,44 +5,21 @@ import pytest
 import scipy.linalg
 
 from peakcov import (
-    NotSymmetric,
     Singular,
     closed_form_gains,
     gain_condition_matrix,
-    kron,
-    null_space_basis,
     solve,
     spectral_norm_sq,
     spectral_radius,
-    sym_eig,
     unvec,
     vec,
 )
-from peakcov.system import stacked
 
 # lambda_max of A'A for A = [[1.3, 0.3], [0, 1.2]], from the 2x2
 # characteristic polynomial: trace 3.22, det 2.4336
 NORM_SQ_A = (3.22 + np.sqrt(3.22**2 - 4 * 2.4336)) / 2
 # same oracle for the transformed A~ = [[1.3, 0.8], [0, 1.2]]
 NORM_SQ_AT = (3.77 + np.sqrt(3.77**2 - 4 * 2.4336)) / 2
-
-
-def test_kron_identity_blocks():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    a = np.array([[2.0, -1.0], [0.5, 3.0]])
-    b = np.array([[1.0, 4.0], [0.0, -2.0]])
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    np.testing.assert_allclose(out[2:, :2], a[1, 0] * b)
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b, c, d = (rng.standard_normal((2, 2)) for _ in range(4))
-        lhs = kron(a, b) @ kron(c, d)
-        rhs = kron(a @ c, b @ d)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * (1 + np.linalg.norm(rhs))
 
 
 def test_vec_column_stacking():
@@ -66,7 +43,7 @@ def test_vec_three_factor_identity():
     for _ in range(10):
         a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
         np.testing.assert_allclose(
-            vec(a @ b @ c), kron(c.T, a) @ vec(b), atol=1e-12
+            vec(a @ b @ c), np.kron(c.T, a) @ vec(b), atol=1e-12
         )
 
 
@@ -85,8 +62,6 @@ def test_spectral_radius_examples(plant, chain_burst2):
 def test_spectral_radius_validation():
     with pytest.raises(ValueError):
         spectral_radius(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        spectral_radius(np.eye(2), tol=-1.0)
     with pytest.raises(ValueError):
         spectral_radius([[np.nan, 0.0], [0.0, 1.0]])
 
@@ -121,29 +96,6 @@ def test_spectral_norm_sq_matches_radius_of_gram():
         m = rng.standard_normal((3, 3))
         s2 = spectral_norm_sq(m)
         assert abs(s2 - spectral_radius(m.T @ m)) <= 1e-10 * (1 + s2)
-
-
-def test_sym_eig_basics():
-    w, v = sym_eig(np.diag([5.0, 2.0]))
-    np.testing.assert_allclose(w, [2.0, 5.0], atol=1e-14)
-    a = np.array([[1.3, 0.3], [0.0, 1.2]])
-    w, _ = sym_eig(a.T @ a)
-    assert w[-1] == pytest.approx(NORM_SQ_A, abs=1e-12)
-    w, v = sym_eig(np.zeros((3, 3)))
-    np.testing.assert_array_equal(w, np.zeros(3))
-    with pytest.raises(NotSymmetric):
-        sym_eig([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_sym_eig_reconstruction():
-    rng = np.random.default_rng(16)
-    for _ in range(10):
-        b = rng.standard_normal((4, 4))
-        m = b + b.T
-        w, v = sym_eig(m)
-        assert list(w) == sorted(w)
-        err = np.linalg.norm(m - (v * w) @ v.T)
-        assert err <= 1e-10 * (1 + np.linalg.norm(m))
 
 
 def test_solve_identity_and_residual():
@@ -208,26 +160,3 @@ def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(lhs), rhs)
         assert np.linalg.norm(solve(lhs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
         found += 1
-
-
-def test_null_space_basis_cases(plant):
-    n = null_space_basis([[1.0, 1.0]])
-    assert n.shape == (2, 1)
-    np.testing.assert_allclose(np.abs(n[:, 0]), [1 / np.sqrt(2)] * 2, atol=1e-12)
-    # depth-2 stacked observation map has full column rank: empty basis
-    obs2 = stacked(plant, 2).obs_map
-    assert null_space_basis(obs2).shape == (2, 0)
-    np.testing.assert_allclose(null_space_basis(np.zeros((2, 2))), np.eye(2))
-
-
-def test_null_space_residual_bound():
-    rng = np.random.default_rng(18)
-    for cols in (2, 3, 5):
-        # rank-1 wide matrix: null space has cols-1 dimensions
-        m = np.outer(rng.standard_normal(3), rng.standard_normal(cols))
-        n = null_space_basis(m)
-        assert n.shape == (cols, cols - 1)
-        smax = np.linalg.svd(m, compute_uv=False)[0]
-        rank_tol = max(m.shape) * np.finfo(float).eps
-        assert np.linalg.norm(m @ n) <= rank_tol * smax * np.sqrt(n.shape[1])
-        np.testing.assert_allclose(n.T @ n, np.eye(cols - 1), atol=1e-12)

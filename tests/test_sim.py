@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 from peakcov import (
     LossModel,
     enumerate_first_peak,
-    gaps_to_arrivals,
     growth_trend,
     load_problem,
     mc_estimate,
     measurement_update,
-    sample_gaps,
-    simulate_run,
     time_update,
 )
 from peakcov import markov
@@ -24,63 +21,49 @@ DEMOS = ["identical_rows", "resonant_rotation", "single_loss",
          "single_loss_sticky", "stable_burst2"]
 
 
-def _reference_gaps(loss, count, seed):
-    # the gap chain stepped one searchsorted at a time
-    u = np.random.Generator(np.random.Philox(key=int(seed))).random(count)
-    cum_rows = np.cumsum(loss.Pi, axis=1)
-    out = np.empty(count, dtype=np.int64)
-    state = np.searchsorted(np.cumsum(loss.pi_stat), u[0], side="right")
-    out[0] = state = min(int(state), loss.s)
-    for k in range(1, count):
-        state = np.searchsorted(cum_rows[state], u[k], side="right")
-        out[k] = state = min(int(state), loss.s)
-    return out
+def _expand(gaps):
+    # gap j -> j losses (0) then one reception (1)
+    return np.concatenate([[0] * int(g) + [1] for g in gaps]).astype(bool)
 
 
-def _reference_run(sys, loss, horizon, seed):
-    """One run, slot by slot on 2-d covariances: (arrivals, beta_times,
-    peak norms, post norms)."""
-    arr = gaps_to_arrivals(_reference_gaps(loss, horizon, seed))[:horizon]
+def _reference_run(sys, loss, horizon, seed, reference_gaps):
+    """One run, slot by slot on 2-d covariances: (arrivals, peak norms)."""
+    arr = _expand(reference_gaps(loss, horizon, seed))[:horizon]
     P = sys.Sigma0.copy()
-    beta, peaks, posts = [], [], []
+    peaks = []
     for k in range(horizon):
         if arr[k]:
-            Pn = measurement_update(sys, P)
             if k >= 1 and not arr[k - 1]:
-                beta.append(k + 1)
                 peaks.append(sym_spectral_norm(P))
-                posts.append(sym_spectral_norm(Pn))
-            P = Pn
+            P = measurement_update(sys, P)
         else:
             P = time_update(sys, P)
-    return (arr, np.asarray(beta, dtype=np.int64),
-            np.asarray(peaks, dtype=float), np.asarray(posts, dtype=float))
+    return arr, np.asarray(peaks, dtype=float)
 
 
-def _assert_matches_reference(sys, loss, runs, horizon, base_seed):
-    """mc_estimate and simulate_run equal the per-run loop bit for bit,
-    with statistics aggregated index by index in run order."""
+def _assert_matches_reference(sys, loss, runs, horizon, base_seed,
+                              reference_gaps):
+    """The sampler's arrival bits and mc_estimate equal the per-run loop
+    bit for bit, with statistics aggregated index by index in run order."""
+    seeds = range(base_seed, base_seed + runs)
+    bits = markov._sample_arrivals(loss, horizon, seeds)
     est = mc_estimate(sys, loss, runs=runs, horizon=horizon,
                       base_seed=base_seed)
-    ref = [_reference_run(sys, loss, horizon, base_seed + i)
-           for i in range(runs)]
+    ref = [_reference_run(sys, loss, horizon, seed, reference_gaps)
+           for seed in seeds]
+    assert bits.shape == (horizon, runs)
     assert len(est.peak_norms_by_run) == runs
-    for got, (arr, _, peaks, _) in zip(est.peak_norms_by_run, ref):
+    for col, got, (arr, peaks) in zip(bits.T, est.peak_norms_by_run, ref):
+        assert col.tobytes() == arr.tobytes()
         assert got.tobytes() == peaks.tobytes()
         # one peak per loss -> reception transition
-        assert got.size == np.count_nonzero((arr[1:] == 1) & (arr[:-1] == 0))
-    for i in range(min(runs, 3)):
-        rec = simulate_run(sys, loss, horizon, base_seed + i)
-        _, beta, peaks, posts = ref[i]
-        assert rec.beta_times.tobytes() == beta.tobytes()
-        assert rec.peak_norms.tobytes() == peaks.tobytes()
-        assert rec.post_norms.tobytes() == posts.tobytes()
-    depth = max(r[2].size for r in ref)
+        assert got.size == np.count_nonzero(arr[1:] & ~arr[:-1])
+    depth = max(r[1].size for r in ref)
     means = np.full(depth, np.nan)
     stderrs = np.full(depth, np.nan)
     counts = np.zeros(depth, dtype=np.int64)
     for j in range(depth):
-        vals = np.array([r[2][j] for r in ref if r[2].size > j])
+        vals = np.array([r[1][j] for r in ref if r[1].size > j])
         counts[j] = vals.size
         means[j] = vals.mean()
         if vals.size > 1:
@@ -90,27 +73,32 @@ def _assert_matches_reference(sys, loss, runs, horizon, base_seed):
     assert est.counts.tobytes() == counts.tobytes()
 
 
-def _find_seed(loss, prefix):
-    # smallest seed whose gap chain starts with the given prefix
-    k = len(prefix)
-    for seed in range(2000):
-        if list(sample_gaps(loss, k, seed)) == list(prefix):
-            return seed
-    raise AssertionError(f"no seed found for prefix {prefix}")
+def _peaks(sys, loss, horizon, seed):
+    # the peak norms of one run
+    return mc_estimate(sys, loss, runs=1, horizon=horizon,
+                       base_seed=seed).peak_norms_by_run[0]
+
+
+def _find_seed(loss, gaps):
+    # smallest seed whose arrival stream starts with the given gaps
+    prefix = _expand(gaps)
+    bits = markov._sample_arrivals(loss, prefix.size, range(2000))
+    hits = np.flatnonzero((bits == prefix[:, None]).all(axis=0))
+    assert hits.size, f"no seed found for gap prefix {gaps}"
+    return int(hits[0])
 
 
 def test_run_matches_arrival_stream(plant, chain_burst2):
-    rec = simulate_run(plant, chain_burst2, horizon=400, seed=5)
-    arr = gaps_to_arrivals(sample_gaps(chain_burst2, 400, 5))[:400]
-    expect = np.flatnonzero((arr[1:] == 1) & (arr[:-1] == 0)) + 2  # 1-based
-    np.testing.assert_array_equal(rec.beta_times, expect)
-    assert np.all(np.diff(rec.beta_times) > 0)
-    assert rec.peak_norms.shape == rec.post_norms.shape == rec.beta_times.shape
-    # burst preceding each recorded instant never exceeds s
-    for t in rec.beta_times:
-        k = t - 2  # last loss slot, 0-based
+    peaks = _peaks(plant, chain_burst2, 400, 5)
+    arr = markov._sample_arrivals(chain_burst2, 400, [5])[:, 0]
+    # one peak per reception after a loss, none at the first slot
+    assert peaks.size == np.count_nonzero(arr[1:] & ~arr[:-1])
+    assert np.all(np.isfinite(peaks)) and np.all(peaks > 0)
+    # the burst preceding each peak never exceeds s
+    for t in np.flatnonzero(arr[1:] & ~arr[:-1]):
+        k = t  # last loss slot, 0-based
         burst = 0
-        while k >= 0 and arr[k] == 0:
+        while k >= 0 and not arr[k]:
             burst += 1
             k -= 1
         assert 1 <= burst <= chain_burst2.s
@@ -121,73 +109,69 @@ def test_run_first_peak_conventions(plant, chain_burst2):
 
     # chain opens with a single loss: peak is the open-loop map once
     seed = _find_seed(chain_burst2, [1])
-    rec = simulate_run(plant, chain_burst2, horizon=8, seed=seed)
-    assert rec.beta_times[0] == 2
-    assert rec.peak_norms[0] == pytest.approx(
+    assert _peaks(plant, chain_burst2, 8, seed)[0] == pytest.approx(
         sym_spectral_norm(time_update(plant, s0)), abs=1e-12)
 
     # double loss first: two open-loop maps
     seed = _find_seed(chain_burst2, [2])
-    rec = simulate_run(plant, chain_burst2, horizon=8, seed=seed)
-    assert rec.beta_times[0] == 3
-    assert rec.peak_norms[0] == pytest.approx(
+    assert _peaks(plant, chain_burst2, 8, seed)[0] == pytest.approx(
         sym_spectral_norm(time_update(plant, time_update(plant, s0))),
         abs=1e-12)
 
     # reception, loss, reception: one filtered step feeds the open loop
     seed = _find_seed(chain_burst2, [0, 1])
-    rec = simulate_run(plant, chain_burst2, horizon=8, seed=seed)
-    assert rec.beta_times[0] == 3
     peak = time_update(plant, measurement_update(plant, s0))
-    assert rec.peak_norms[0] == pytest.approx(sym_spectral_norm(peak),
-                                              abs=1e-12)
-    assert rec.post_norms[0] == pytest.approx(
-        sym_spectral_norm(measurement_update(plant, peak)), abs=1e-12)
+    assert _peaks(plant, chain_burst2, 8, seed)[0] == pytest.approx(
+        sym_spectral_norm(peak), abs=1e-12)
 
 
 def test_run_determinism_and_validation(plant, chain_burst2):
-    a = simulate_run(plant, chain_burst2, horizon=300, seed=12)
-    b = simulate_run(plant, chain_burst2, horizon=300, seed=12)
-    np.testing.assert_array_equal(a.beta_times, b.beta_times)
-    np.testing.assert_array_equal(a.peak_norms, b.peak_norms)
-    np.testing.assert_array_equal(a.post_norms, b.post_norms)
+    a = _peaks(plant, chain_burst2, 300, 12)
+    b = _peaks(plant, chain_burst2, 300, 12)
+    assert a.size and a.tobytes() == b.tobytes()
     with pytest.raises(ValueError):
-        simulate_run(plant, chain_burst2, horizon=0, seed=1)
+        mc_estimate(plant, chain_burst2, runs=1, horizon=0, base_seed=1)
 
 
-def test_mc_single_run_reduction(plant, chain_burst2):
+def test_mc_single_run_reduction(plant, chain_burst2, reference_gaps):
     est = mc_estimate(plant, chain_burst2, runs=1, horizon=200, base_seed=9)
-    rec = simulate_run(plant, chain_burst2, horizon=200, seed=9)
-    np.testing.assert_array_equal(est.means, rec.peak_norms)
+    _, peaks = _reference_run(plant, chain_burst2, 200, 9, reference_gaps)
+    np.testing.assert_array_equal(est.means, peaks)
     assert np.all(est.counts == 1)
     assert np.all(np.isnan(est.stderrs))
 
 
 @pytest.mark.parametrize("name", DEMOS)
-def test_mc_matches_reference_on_demos(problems_dir, name):
+def test_mc_matches_reference_on_demos(problems_dir, name, reference_gaps):
     sysm, loss, _ = load_problem(str(problems_dir / f"{name}.json"))
-    _assert_matches_reference(sysm, loss, runs=12, horizon=150, base_seed=4)
+    _assert_matches_reference(sysm, loss, runs=12, horizon=150, base_seed=4,
+                              reference_gaps=reference_gaps)
 
 
 @pytest.mark.parametrize("runs", [1, 7, 40])
 @pytest.mark.parametrize("horizon", [1, 2, 300])
-def test_mc_matches_reference_sizes(plant, chain_burst2, runs, horizon):
+def test_mc_matches_reference_sizes(plant, chain_burst2, runs, horizon,
+                                    reference_gaps):
     _assert_matches_reference(plant, chain_burst2, runs, horizon,
-                              base_seed=1000 * runs + horizon)
+                              1000 * runs + horizon, reference_gaps)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
        m=st.integers(1, 2), s=st.integers(1, 3), runs=st.integers(1, 6),
        horizon=st.integers(1, 40), base_seed=st.integers(0, 2**40))
-def test_mc_matches_reference_random_plants(random_problem, seed, n, m, s,
-                                            runs, horizon, base_seed):
+def test_mc_matches_reference_random_plants(random_problem, reference_gaps,
+                                            seed, n, m, s, runs, horizon,
+                                            base_seed):
     problem = random_problem(np.random.default_rng(seed), n, m, s)
     assume(problem is not None)
     sysm, loss = problem
-    np.testing.assert_array_equal(sample_gaps(loss, 50, base_seed),
-                                  _reference_gaps(loss, 50, base_seed))
-    _assert_matches_reference(sysm, loss, runs, horizon, base_seed)
+    # the sampler alone, over more slots than the simulated horizon
+    bits = markov._sample_arrivals(loss, 50, [base_seed])[:, 0]
+    ref = _expand(reference_gaps(loss, 50, base_seed))[:50]
+    assert bits.tobytes() == ref.tobytes()
+    _assert_matches_reference(sysm, loss, runs, horizon, base_seed,
+                              reference_gaps)
 
 
 def test_mc_invariant_under_draw_block(plant, chain_burst2, monkeypatch):
@@ -251,8 +235,8 @@ def test_enumeration_validation(plant, chain_burst2):
         enumerate_first_peak(plant, chain_burst2, trunc_eps=0.0)
 
 
-def test_burst_length_histogram(chain_burst2):
-    gaps = sample_gaps(chain_burst2, 300_000, seed=78)
+def test_burst_length_histogram(chain_burst2, reference_gaps):
+    gaps = reference_gaps(chain_burst2, 300_000, seed=78)
     bursts = gaps[gaps >= 1]
     assert bursts.size >= 90_000
     cond = chain_burst2.pi_stat[1:] / chain_burst2.pi_stat[1:].sum()
