@@ -23,8 +23,6 @@ from .linalg import (
     solve,
     spectral_norm_sq,
     spectral_radius,
-    unvec,
-    vec,
 )
 from .markov import (
     LossModel,
@@ -84,7 +82,7 @@ __all__ = [
     "Unobservable", "Uncontrollable", "RNotPositiveDefinite", "QNotPSD",
     "CovarianceNotPSD", "NotErgodic", "NotStable", "ProblemFormatError",
     # linear algebra
-    "vec", "unvec", "spectral_radius", "spectral_norm_sq", "solve",
+    "spectral_radius", "spectral_norm_sq", "solve",
     # system
     "SystemModel", "StackedModel", "ValidationReport",
     "ModelAssumptionWarning", "validate", "observability_index", "stacked",

@@ -1,9 +1,9 @@
 """Dense real linear-algebra kernel.
 
-Column-major vectorization, spectral radii of nonsymmetric matrices,
-spectral norms, SVD ranks, and rank-checked linear solves. Everything
-is a pure function of ndarrays; all routines reject NaN/Inf input.
-numpy is the only dependency.
+Spectral radii of nonsymmetric matrices, spectral norms, SVD ranks,
+and rank-checked linear solves. Everything is a pure function of
+ndarrays; all routines reject NaN/Inf input. numpy is the only
+dependency.
 
 Eigenvalues of nonsymmetric matrices come from LAPACK's Hessenberg
 reduction + implicitly shifted QR (real Schur form); solves are LU with
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import NoConvergence, Singular
 
 __all__ = [
-    "vec",
-    "unvec",
     "spectral_radius",
     "spectral_norm_sq",
     "sym_spectral_norm",
@@ -36,22 +34,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
-
-
-def vec(m) -> np.ndarray:
-    """Stack the columns of m into a 1-d vector (column-major).
-
-    Satisfies vec(A B C) = np.kron(C.T, A) @ vec(B).
-    """
-    return _as_matrix(m).flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of vec: reshape a length rows*cols vector column-major."""
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if a.size != rows * cols:
-        raise ValueError(f"cannot unvec length {a.size} into {rows}x{cols}")
-    return a.reshape((rows, cols), order="F")
 
 
 def spectral_radius(m) -> float:
@@ -114,10 +96,9 @@ def solve(a, b) -> np.ndarray:
     return np.linalg.solve(am, bv)
 
 
-def sv_rank(sv: np.ndarray, shape, rtol: float | None = None) -> int:
+def sv_rank(sv: np.ndarray, shape) -> int:
     """Numerical rank of a matrix of the given shape from its descending
-    singular values: the number above rtol * sigma_max, rtol defaulting
-    to max(rows, cols) * machine epsilon (0 for an empty or zero matrix)."""
-    if rtol is None:
-        rtol = max(shape) * np.finfo(float).eps
+    singular values: the number above max(rows, cols) * machine epsilon
+    * sigma_max (0 for an empty or zero matrix)."""
+    rtol = max(shape) * np.finfo(float).eps
     return int(np.sum(sv > rtol * sv[0])) if sv.size and sv[0] > 0 else 0

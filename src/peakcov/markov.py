@@ -33,7 +33,8 @@ __all__ = [
 
 
 class PeriodicChainWarning(UserWarning):
-    """The chain may be periodic (some (s+1)^2-step transition is zero)."""
+    """The chain may be periodic (some (s+1)^2-step transition within its
+    closed class is zero)."""
 
 
 def stationary(Pi) -> np.ndarray:
@@ -90,7 +91,9 @@ class LossModel:
                 "(rows must be stochastic)"
             )
         pi = stationary(P)  # raises NotErgodic when not unique
-        if np.any(np.linalg.matrix_power(P, P.shape[0] ** 2) == 0.0):
+        # the closed class: GTH gives every transient state an exact 0
+        closed = np.ix_(pi > 0, pi > 0)
+        if np.any(np.linalg.matrix_power(P, P.shape[0] ** 2)[closed] == 0.0):
             warnings.warn(
                 "some multi-step transition probabilities are exactly zero; "
                 "the chain may be periodic",

@@ -22,7 +22,6 @@ from .system import SystemModel
 __all__ = [
     "load_problem",
     "load_matrix_file",
-    "to_jsonable",
     "dumps_report",
     "file_digest",
 ]
@@ -106,26 +105,6 @@ def load_matrix_file(path: str, field: str = "S") -> np.ndarray:
     return _as_array(doc, field, path)
 
 
-def to_jsonable(x):
-    """Recursively convert arrays and numpy scalars for JSON emission.
-
-    Non-finite floats map to None (JSON has no NaN/Inf)."""
-    if isinstance(x, np.ndarray):
-        return [to_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [to_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, (float, np.floating)):
-        f = float(x)
-        return f if np.isfinite(f) else None
-    return x
-
-
 def _float_17g(f: float) -> str:
     s = format(f, ".17g")
     if "e" not in s and "E" not in s and "." not in s:
@@ -134,17 +113,23 @@ def _float_17g(f: float) -> str:
 
 
 def _emit(x, indent: str = "") -> str:
-    # json.dumps(indent=2) layout, with floats at 17 significant digits
+    # json.dumps(indent=2) layout, with floats at 17 significant digits;
+    # arrays and tuples print as lists, numpy scalars as Python values
+    # and non-finite floats as null (JSON has no NaN/Inf)
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
     inner = indent + "  "
     if isinstance(x, dict) and x:
         items = (f"{inner}{json.dumps(k)}: {_emit(v, inner)}"
                  for k, v in x.items())
         return "{\n" + ",\n".join(items) + f"\n{indent}}}"
-    if isinstance(x, list) and x:
+    if isinstance(x, (list, tuple)) and x:
         items = (inner + _emit(v, inner) for v in x)
         return "[\n" + ",\n".join(items) + f"\n{indent}]"
-    return _float_17g(x) if isinstance(x, float) else json.dumps(x)
+    if isinstance(x, float):
+        return _float_17g(x) if np.isfinite(x) else "null"
+    return json.dumps(x)
 
 
 def dumps_report(report: dict) -> str:
-    return _emit(to_jsonable(report))
+    return _emit(report)

@@ -5,7 +5,9 @@ Two sufficient conditions are implemented for the loss-gated filter:
 * gain_condition_matrix builds the s*n^2 linear operator whose spectral
   radius below 1 certifies peak-covariance stability for a given gain
   set (the operator propagates expected covariance blocks indexed by the
-  burst length, with Kronecker-vectorized burst dynamics).
+  burst length, with Kronecker-vectorized burst dynamics). _operator
+  forms the plant and chain constants once and returns the map from
+  gains to this matrix, so search_gains evaluates only the gain part.
 * norm_condition_matrix builds the coarser s x s matrix of norm bounds
   (d_l times transition masses, scaled by ||A^j||^2); its radius below 1
   is the coordinate-dependent condition it is compared against.
@@ -14,8 +16,8 @@ min_norm_gain gives the closed-form gain minimizing ||A^l + K C_stack||
 (split along the row space / null space of the stacked observation map),
 which seeds search_gains. Certificates are the coupled-inequality
 witnesses X_1..X_s: built from a Neumann-series solve when rho < 1 and
-checked by direct evaluation of the coupled sums, a route independent of
-the Kronecker assembly.
+checked by direct evaluation of the coupled sums, a route that shares
+no code with _operator.
 """
 
 from __future__ import annotations
@@ -136,37 +138,43 @@ def closed_form_gains(sys: SystemModel) -> tuple[list[float], list[np.ndarray]]:
     return d, K
 
 
-def _burst_factors(sys: SystemModel, gains: list[np.ndarray]) -> list[np.ndarray]:
-    """F_l = A^l + K_l @ obs_map_l for each gain depth."""
-    return [np.linalg.matrix_power(sys.A, l) + K @ _obs_stack(sys.A, sys.C, l)
-            for l, K in enumerate(gains, start=1)]
+def _operator(sys: SystemModel, loss: LossModel, depths: int):
+    """Map from a list of `depths` gain blocks to the s*n^2 gain-condition
+    matrix. What the gains do not touch (A^l, the observation stacks O_l,
+    the chain blocks, the weights p00^(l-2), (A kron A)^j) is formed once.
+    With F_l = A^l + K_l O_l the matrix is diag((A kron A)^j, j=1..s)
+    applied to [P_blk.T kron (F_1 kron F_1) + Q_blk.T kron Ksum], Ksum
+    summing p00^(l-2) F_l kron F_l over depths 2..Io-1 (zero when
+    Io <= 2, making the result independent of Q_blk).
+    """
+    n = sys.n
+    Al = [np.linalg.matrix_power(sys.A, l) for l in range(1, depths + 1)]
+    obs = [_obs_stack(sys.A, sys.C, l) for l in range(1, depths + 1)]
+    Pb, Qb = submatrices(loss)
+    weights = [loss.Pi[0, 0] ** (l - 2) for l in range(2, depths + 1)]
+    AA = np.kron(sys.A, sys.A)
+    powers = [np.eye(n * n)]
+    for _ in range(loss.s):
+        powers.append(powers[-1] @ AA)
+
+    def matrix(gains) -> np.ndarray:
+        F = [a + K @ o for a, K, o in zip(Al, gains, obs)]
+        Ks = np.zeros((n * n, n * n))
+        for w, f in zip(weights, F[1:]):
+            Ks += w * np.kron(f, f)
+        M = np.kron(Pb.T, np.kron(F[0], F[0])) + np.kron(Qb.T, Ks)
+        for j, blk in enumerate(powers[1:]):  # in place: no second s*n^2 square
+            M[j * n * n:(j + 1) * n * n] = blk @ M[j * n * n:(j + 1) * n * n]
+        return M
+
+    return matrix
 
 
 def gain_condition_matrix(sys: SystemModel, loss: LossModel, gains) -> StabilityMatrix:
-    """Assemble the s*n^2 stability operator for a gain set.
-
-    Block structure: diag((A kron A)^j, j=1..s) applied to
-    [P_blk.T kron H + Q_blk.T kron Ksum] where H is the depth-1 burst
-    factor squared up by Kronecker product and Ksum accumulates depths
-    2..Io-1 weighted by p00^(l-2) (zero when Io <= 2, making the result
-    independent of Q_blk).
-    """
+    """The s*n^2 stability operator of a gain set (see _operator) and its
+    spectral radius."""
     gl = check_gains(sys, gains)
-    n, s = sys.n, loss.s
-    F = _burst_factors(sys, gl)
-    Hb = np.kron(F[0], F[0])
-    Ks = np.zeros((n * n, n * n))
-    p00 = loss.Pi[0, 0]
-    for l in range(2, len(F) + 1):
-        Ks += p00 ** (l - 2) * np.kron(F[l - 1], F[l - 1])
-    Pb, Qb = submatrices(loss)
-    M = np.kron(Pb.T, Hb) + np.kron(Qb.T, Ks)
-    AA = np.kron(sys.A, sys.A)
-    H = np.zeros((s * n * n, s * n * n))
-    blk = np.eye(n * n)
-    for j in range(s):
-        blk = blk @ AA
-        H[j * n * n:(j + 1) * n * n, :] = blk @ M[j * n * n:(j + 1) * n * n, :]
+    H = _operator(sys, loss, len(gl))(gl)
     return StabilityMatrix(matrix=H, rho=linalg.spectral_radius(H))
 
 
@@ -204,8 +212,8 @@ def verify_certificate(sys: SystemModel, loss: LossModel, gains, blocks) -> floa
     LHS_j sums, over the previous burst length i, the one-idle-step path
     (through the depth-l factors, weighted Pi[i,0] p00^(l-2) Pi[0,j]) and
     the direct path (depth-1 factor, weighted Pi[i,j]), conjugated by
-    A^j. Evaluated directly from the definition; shares no assembly code
-    with gain_condition_matrix.
+    A^j. Evaluated directly from the definition, with its own burst
+    factors F_l = A^l + K_l O_l; shares no code with _operator.
     """
     gl = check_gains(sys, gains)
     n, s = sys.n, loss.s
@@ -215,7 +223,8 @@ def verify_certificate(sys: SystemModel, loss: LossModel, gains, blocks) -> floa
     for b in X:
         if b.shape != (n, n):
             raise DimensionMismatch(f"certificate blocks must be {n}x{n}")
-    F = _burst_factors(sys, gl)
+    F = [np.linalg.matrix_power(sys.A, l) + K @ _obs_stack(sys.A, sys.C, l)
+         for l, K in enumerate(gl, start=1)]
     P = loss.Pi
     p00 = P[0, 0]
     margin = np.inf
@@ -249,20 +258,16 @@ def build_certificate(
     """Construct coupled-inequality witnesses from a stable gain set.
 
     With rho < 1, the operator series sum_k H^k applied to identity
-    blocks converges; the witnesses solve (I - H) vec(X) = vec(I) and
-    then satisfy X_j - LHS_j = I exactly, so the verified margin is
-    about 1. Raises NotStable when rho >= 1 - tol.
+    blocks converges; the witnesses, stacked row-major, solve
+    (I - H) x = (I, ..., I) and then satisfy X_j - LHS_j = I exactly, so
+    the verified margin is about 1. Raises NotStable when rho >= 1 - tol.
     """
     sm = gain_condition_matrix(sys, loss, gains)
     if not is_stable(sm.rho, tol):
         raise NotStable(f"spectral radius {sm.rho!r} is not below 1 - {tol:g}")
     n, s = sys.n, loss.s
-    rhs = np.concatenate([linalg.vec(np.eye(n))] * s)
-    x = linalg.solve(np.eye(s * n * n) - sm.matrix, rhs)
-    blocks = []
-    for j in range(s):
-        B = linalg.unvec(x[j * n * n:(j + 1) * n * n], n, n)
-        blocks.append((B + B.T) / 2.0)
+    x = linalg.solve(np.eye(s * n * n) - sm.matrix, np.tile(np.eye(n).ravel(), s))
+    blocks = [(B + B.T) / 2.0 for B in x.reshape(s, n, n)]
     margin = verify_certificate(sys, loss, gains, blocks)
     return Certificate(blocks=blocks, margin=margin)
 
@@ -363,13 +368,14 @@ def search_gains(
     improve, so the result never exceeds the seeded radius.
     """
     _, seed = closed_form_gains(sys)
-    rho_seed = gain_condition_matrix(sys, loss, seed).rho
+    H = _operator(sys, loss, len(seed))
+    rho_seed = linalg.spectral_radius(H(seed))
     if not refine:
         return seed, rho_seed
     shapes = [K.shape for K in seed]
 
     def objective(x):
-        return gain_condition_matrix(sys, loss, _unpack(x, shapes)).rho
+        return linalg.spectral_radius(H(_unpack(x, shapes)))
 
     x, fun = _nelder_mead(objective, _pack(seed), budget, xtol)
     if np.isfinite(fun) and fun < rho_seed:

@@ -11,8 +11,6 @@ from peakcov import (
     solve,
     spectral_norm_sq,
     spectral_radius,
-    unvec,
-    vec,
 )
 
 # lambda_max of A'A for A = [[1.3, 0.3], [0, 1.2]], from the 2x2
@@ -20,31 +18,6 @@ from peakcov import (
 NORM_SQ_A = (3.22 + np.sqrt(3.22**2 - 4 * 2.4336)) / 2
 # same oracle for the transformed A~ = [[1.3, 0.8], [0, 1.2]]
 NORM_SQ_AT = (3.77 + np.sqrt(3.77**2 - 4 * 2.4336)) / 2
-
-
-def test_vec_column_stacking():
-    np.testing.assert_array_equal(
-        vec([[1.0, 3.0], [2.0, 4.0]]), [1.0, 2.0, 3.0, 4.0]
-    )
-    np.testing.assert_array_equal(vec(np.zeros((2, 2))), np.zeros(4))
-
-
-def test_vec_unvec_round_trip():
-    rng = np.random.default_rng(12)
-    for rows, cols in [(2, 2), (3, 1), (2, 5)]:
-        m = rng.standard_normal((rows, cols))
-        np.testing.assert_array_equal(unvec(vec(m), rows, cols), m)
-    with pytest.raises(ValueError):
-        unvec(np.zeros(5), 2, 2)
-
-
-def test_vec_three_factor_identity():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        np.testing.assert_allclose(
-            vec(a @ b @ c), np.kron(c.T, a) @ vec(b), atol=1e-12
-        )
 
 
 def test_spectral_radius_examples(plant, chain_burst2):
@@ -116,8 +89,7 @@ def test_solve_matches_neumann_series(plant, chain_burst2):
     _, gains = closed_form_gains(plant)
     H = gain_condition_matrix(plant, chain_burst2, gains).matrix
     assert spectral_radius(H) < 1
-    b = vec(np.eye(2) + 0.0)
-    b = np.concatenate([b, b])
+    b = np.tile(np.eye(2).ravel(), 2)
     x_direct = solve(np.eye(8) - H, b)
     x_series = np.zeros(8)
     term = b.copy()
@@ -156,7 +128,7 @@ def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
         if H.rho >= 0.99:
             continue
         lhs = np.eye(s * n * n) - H.matrix
-        rhs = np.concatenate([vec(np.eye(n))] * s)
+        rhs = np.concatenate([np.eye(n).ravel()] * s)
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(lhs), rhs)
         assert np.linalg.norm(solve(lhs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
         found += 1

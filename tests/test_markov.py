@@ -1,5 +1,7 @@
 """Loss-chain model: stationary law, burst blocks, sojourn pmf, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ def test_s_and_immutability(chain_burst2, chain_s1):
 def test_periodic_chain_warns():
     with pytest.warns(PeriodicChainWarning):
         LossModel(Pi=[[0.0, 1.0], [1.0, 0.0]])
+    # a periodic closed class behind a transient state
+    with pytest.warns(PeriodicChainWarning):
+        LossModel(Pi=[[0.2, 0.3, 0.5], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    # aperiodic: transient states left for good, a closed class with a self-loop
+    for Pi in ([[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]],
+               [[0.0, 0.0, 1.0]] * 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PeriodicChainWarning)
+            LossModel(Pi=Pi)
 
 
 def test_submatrices_values(chain_burst2, chain_s1):
@@ -195,7 +206,6 @@ def test_empirical_first_sojourn_pair_matches_pmf(chain_burst2):
             assert abs(emp - p) <= 4 * sig, (a, b, emp, p)
 
 
-@pytest.mark.filterwarnings("ignore::peakcov.PeriodicChainWarning")
 def test_gaps_to_arrivals_examples():
     # gap j writes j losses and then one reception
     cases = [([[1.0, 0.0], [1.0, 0.0]], [1, 1, 1, 1, 1, 1]),
@@ -205,7 +215,8 @@ def test_gaps_to_arrivals_examples():
         arr = _sample_arrivals(LossModel(Pi=Pi), 6, range(5))
         assert (arr.T == np.array(expect, dtype=bool)).all()
     # the cycle of gaps 0 -> 2 -> 1 -> 0, entered at a random gap
-    lm = LossModel(Pi=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.warns(PeriodicChainWarning):
+        lm = LossModel(Pi=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     cycle = {0: [1, 0, 0, 1, 0, 1], 1: [0, 1, 1, 0, 0, 1], 2: [0, 0, 1, 0, 1, 1]}
     arr = _sample_arrivals(lm, 12, range(30))
     for col in arr.T:

@@ -8,7 +8,7 @@ import pytest
 
 from peakcov import load_matrix_file, load_problem
 from peakcov.errors import ProblemFormatError
-from peakcov.problems import _float_17g, dumps_report, file_digest, to_jsonable
+from peakcov.problems import _float_17g, dumps_report, file_digest
 
 GOOD = {
     "A": [[1.3, 0.3], [0.0, 1.2]],
@@ -128,15 +128,18 @@ def test_file_digest(tmp_path):
 
 
 def test_to_jsonable_conversions():
-    out = to_jsonable({
+    # dumps_report itself converts arrays, tuples and numpy scalars
+    txt = dumps_report({
         "m": np.arange(4.0).reshape(2, 2),
         "t": (np.int64(3), np.float64(2.5), np.bool_(True)),
-        "bad": [float("nan"), float("inf"), -float("inf")],
+        "bad": [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
     })
+    out = json.loads(txt)
     assert out["m"] == [[0.0, 1.0], [2.0, 3.0]]
     assert out["t"] == [3, 2.5, True]
     assert isinstance(out["t"][0], int) and isinstance(out["t"][2], bool)
-    assert out["bad"] == [None, None, None]
+    assert out["bad"] == [None, None, None, None]
+    assert '"t": [\n    3,\n    2.5,\n    true\n  ]' in txt
 
 
 def test_float_formatting_17_digits():
