@@ -8,7 +8,7 @@ dependency.
 Eigenvalues of nonsymmetric matrices come from LAPACK's Hessenberg
 reduction + implicitly shifted QR (real Schur form); solves are LU with
 partial pivoting (np.linalg.solve), refused as singular by the ratio of
-extreme singular values. Dense only: problem sizes here are s*n^2 at desk scale.
+extreme singular values. Dense only: sizes here are s*n(n+1)/2 at desk scale.
 """
 
 from __future__ import annotations

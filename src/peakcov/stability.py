@@ -2,12 +2,14 @@
 
 Two sufficient conditions are implemented for the loss-gated filter:
 
-* gain_condition_matrix builds the s*n^2 linear operator whose spectral
-  radius below 1 certifies peak-covariance stability for a given gain
-  set (the operator propagates expected covariance blocks indexed by the
-  burst length, with Kronecker-vectorized burst dynamics). _operator
-  forms the plant and chain constants once and returns the map from
-  gains to this matrix, so search_gains evaluates only the gain part.
+* gain_condition_matrix builds the linear operator whose spectral radius
+  below 1 certifies peak-covariance stability for a given gain set; it
+  propagates expected covariance blocks indexed by the burst length,
+  with Kronecker-vectorized burst dynamics. Those blocks are symmetric,
+  so it acts on their upper triangles: side s*n(n+1)/2, not s*n^2, with
+  the same spectral radius (see _operator). _operator forms the plant
+  and chain constants once and returns the map from gains to this matrix,
+  so search_gains evaluates only the gain part.
 * norm_condition_matrix builds the coarser s x s matrix of norm bounds
   (d_l times transition masses, scaled by ||A^j||^2); its radius below 1
   is the coordinate-dependent condition it is compared against.
@@ -139,40 +141,50 @@ def closed_form_gains(sys: SystemModel) -> tuple[list[float], list[np.ndarray]]:
 
 
 def _operator(sys: SystemModel, loss: LossModel, depths: int):
-    """Map from a list of `depths` gain blocks to the s*n^2 gain-condition
-    matrix. What the gains do not touch (A^l, the observation stacks O_l,
-    the chain blocks, the weights p00^(l-2), (A kron A)^j) is formed once.
-    With F_l = A^l + K_l O_l the matrix is diag((A kron A)^j, j=1..s)
-    applied to [P_blk.T kron (F_1 kron F_1) + Q_blk.T kron Ksum], Ksum
-    summing p00^(l-2) F_l kron F_l over depths 2..Io-1 (zero when
-    Io <= 2, making the result independent of Q_blk).
+    """Map from a list of `depths` gain blocks to the gain-condition
+    matrix on symmetric blocks, of side s*n(n+1)/2. With
+    F_l = A^l + K_l O_l it is diag((A kron A)^j, j=1..s) applied to
+    [P_blk.T kron (F_1 kron F_1) + Q_blk.T kron Ksum], Ksum summing
+    p00^(l-2) F_l kron F_l over depths 2..Io-1 (zero when Io <= 2, making
+    the result independent of Q_blk), each n^2-square factor K acting on
+    the upper triangles (a, b) = triu_indices(n) of symmetric blocks as
+    K[r][:, r] + K[r][:, c2] (a != b), r = a*n + b, c2 = b*n + a. This is
+    exact: the operator maps PSD tuples to PSD tuples, so its spectral
+    radius is attained on PSD blocks (Krein-Rutman) and antisymmetric
+    blocks do not exceed it (Russo-Dye; Costa, Fragoso & Marques 2005).
+    What the gains do not touch is formed once.
     """
-    n = sys.n
+    a, b = np.triu_indices(sys.n)
+    r, c2, N = a * sys.n + b, b * sys.n + a, a.size
+
+    def sym(K):  # K on all n x n blocks -> K on the symmetric ones
+        return K[r][:, r] + K[r][:, c2] * (a != b)
+
     Al = [np.linalg.matrix_power(sys.A, l) for l in range(1, depths + 1)]
     obs = [_obs_stack(sys.A, sys.C, l) for l in range(1, depths + 1)]
     Pb, Qb = submatrices(loss)
     weights = [loss.Pi[0, 0] ** (l - 2) for l in range(2, depths + 1)]
-    AA = np.kron(sys.A, sys.A)
-    powers = [np.eye(n * n)]
+    AA = sym(np.kron(sys.A, sys.A))
+    powers = [np.eye(N)]
     for _ in range(loss.s):
         powers.append(powers[-1] @ AA)
 
     def matrix(gains) -> np.ndarray:
-        F = [a + K @ o for a, K, o in zip(Al, gains, obs)]
-        Ks = np.zeros((n * n, n * n))
+        F = [al + K @ o for al, K, o in zip(Al, gains, obs)]
+        Ks = np.zeros((N, N))
         for w, f in zip(weights, F[1:]):
-            Ks += w * np.kron(f, f)
-        M = np.kron(Pb.T, np.kron(F[0], F[0])) + np.kron(Qb.T, Ks)
-        for j, blk in enumerate(powers[1:]):  # in place: no second s*n^2 square
-            M[j * n * n:(j + 1) * n * n] = blk @ M[j * n * n:(j + 1) * n * n]
+            Ks += w * sym(np.kron(f, f))
+        M = np.kron(Pb.T, sym(np.kron(F[0], F[0]))) + np.kron(Qb.T, Ks)
+        for j, blk in enumerate(powers[1:]):  # in place: no second square
+            M[j * N:(j + 1) * N] = blk @ M[j * N:(j + 1) * N]
         return M
 
     return matrix
 
 
 def gain_condition_matrix(sys: SystemModel, loss: LossModel, gains) -> StabilityMatrix:
-    """The s*n^2 stability operator of a gain set (see _operator) and its
-    spectral radius."""
+    """The stability operator of a gain set on symmetric blocks (side
+    s*n(n+1)/2, see _operator) and its spectral radius."""
     gl = check_gains(sys, gains)
     H = _operator(sys, loss, len(gl))(gl)
     return StabilityMatrix(matrix=H, rho=linalg.spectral_radius(H))
@@ -258,16 +270,20 @@ def build_certificate(
     """Construct coupled-inequality witnesses from a stable gain set.
 
     With rho < 1, the operator series sum_k H^k applied to identity
-    blocks converges; the witnesses, stacked row-major, solve
-    (I - H) x = (I, ..., I) and then satisfy X_j - LHS_j = I exactly, so
-    the verified margin is about 1. Raises NotStable when rho >= 1 - tol.
+    blocks converges; the witnesses' upper triangles, stacked, solve
+    (I - H) y = (I, ..., I), and the exactly symmetric blocks filled from
+    them satisfy X_j - LHS_j = I, so the verified margin is about 1.
+    Raises NotStable when rho >= 1 - tol.
     """
     sm = gain_condition_matrix(sys, loss, gains)
     if not is_stable(sm.rho, tol):
         raise NotStable(f"spectral radius {sm.rho!r} is not below 1 - {tol:g}")
-    n, s = sys.n, loss.s
-    x = linalg.solve(np.eye(s * n * n) - sm.matrix, np.tile(np.eye(n).ravel(), s))
-    blocks = [(B + B.T) / 2.0 for B in x.reshape(s, n, n)]
+    a, b = np.triu_indices(sys.n)
+    eye = np.tile((a == b).astype(float), loss.s)
+    y = linalg.solve(np.eye(eye.size) - sm.matrix, eye)
+    X = np.empty((loss.s, sys.n, sys.n))
+    X[:, a, b] = X[:, b, a] = y.reshape(loss.s, -1)
+    blocks = list(X)
     margin = verify_certificate(sys, loss, gains, blocks)
     return Certificate(blocks=blocks, margin=margin)
 
@@ -351,6 +367,23 @@ def _nelder_mead(f, x0: np.ndarray, maxfev: int, tol: float):
     return sim[0], np.min(fsim)
 
 
+def _search(sys: SystemModel, loss: LossModel, refine: bool,
+            budget: int = 500, xtol: float = 1e-10):
+    """search_gains, also returning the norm minima and the seeded
+    radius it computed on the way: (d, rho_seed, gains, rho)."""
+    d, seed = closed_form_gains(sys)
+    H = _operator(sys, loss, len(seed))
+    gains = seed
+    rho = rho_seed = linalg.spectral_radius(H(seed))
+    if refine:
+        shapes = [K.shape for K in seed]
+        x, fun = _nelder_mead(lambda x: linalg.spectral_radius(H(_unpack(x, shapes))),
+                              _pack(seed), budget, xtol)
+        if np.isfinite(fun) and fun < rho_seed:
+            gains, rho = _unpack(x, shapes), float(fun)
+    return d, rho_seed, gains, rho
+
+
 def search_gains(
     sys: SystemModel,
     loss: LossModel,
@@ -367,20 +400,7 @@ def search_gains(
     Nelder-Mead bit for bit. The seed is kept whenever refinement fails to
     improve, so the result never exceeds the seeded radius.
     """
-    _, seed = closed_form_gains(sys)
-    H = _operator(sys, loss, len(seed))
-    rho_seed = linalg.spectral_radius(H(seed))
-    if not refine:
-        return seed, rho_seed
-    shapes = [K.shape for K in seed]
-
-    def objective(x):
-        return linalg.spectral_radius(H(_unpack(x, shapes)))
-
-    x, fun = _nelder_mead(objective, _pack(seed), budget, xtol)
-    if np.isfinite(fun) and fun < rho_seed:
-        return _unpack(x, shapes), float(fun)
-    return seed, rho_seed
+    return _search(sys, loss, refine, budget, xtol)[2:]
 
 
 def similarity_transform(
@@ -417,17 +437,9 @@ def compare_conditions(
     gain-unstable) outcome cannot occur: norm stability implies stability
     of the gain condition at the same seed gains.
     """
-    d, seed = closed_form_gains(sys)
+    d, rho_seed, gains, rho_ref = _search(sys, loss, refine)
     rho_norm = norm_condition_matrix(sys, loss, d).rho
-    rho_seed = gain_condition_matrix(sys, loss, seed).rho
-    gains, rho_ref = search_gains(sys, loss) if refine else (seed, rho_seed)
     return ComparisonReport(
-        d=d,
-        rho_norm=rho_norm,
-        norm_stable=is_stable(rho_norm, tol),
-        rho_seeded=rho_seed,
-        rho_refined=rho_ref,
-        gain_stable=is_stable(rho_ref, tol),
-        gains=gains,
-        tol=tol,
-    )
+        d=d, rho_norm=rho_norm, norm_stable=is_stable(rho_norm, tol),
+        rho_seeded=rho_seed, rho_refined=rho_ref,
+        gain_stable=is_stable(rho_ref, tol), gains=gains, tol=tol)

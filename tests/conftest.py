@@ -5,6 +5,10 @@ workhorse (observability index 2). The rotation plant is the diverging
 demo: losses always strike the same phase, so one coordinate is never
 seen. The 3x3 Jordan plant has observability index 3 and exercises the
 depth-2 gain blocks and idle-step weights.
+
+`dense_operator` and `sym_restriction` are the oracle for the package's
+gain operator: the full s*n^2 Kronecker assembly on all n x n blocks,
+and its restriction to symmetric blocks in upper-triangle coordinates.
 """
 
 from pathlib import Path
@@ -13,6 +17,7 @@ import numpy as np
 import pytest
 
 from peakcov import LossModel, SystemModel, Unobservable, observability_index
+from peakcov.system import stacked
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -105,6 +110,52 @@ def random_problem():
         return sysm, LossModel(Pi=Pi)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def dense_operator():
+    """Builder of the gain operator on all n x n blocks, side s*n^2, from
+    its block formula: row block j, column block i is
+    (A^j kron A^j)(Pi[i,j] F_1 kron F_1
+                   + Pi[i,0] Pi[0,j] sum_l p00^(l-2) F_l kron F_l),
+    with F_l = A^l + K_l O_l, acting on row-major vectorized blocks."""
+
+    def build(sysm, loss, gains):
+        A, P, n, s = sysm.A, loss.Pi, sysm.n, loss.s
+        F = [np.linalg.matrix_power(A, l) + np.asarray(K) @ stacked(sysm, l).obs_map
+             for l, K in enumerate(gains, start=1)]
+        idle = sum(P[0, 0] ** (l - 2) * np.kron(F[l - 1], F[l - 1])
+                   for l in range(2, len(F) + 1))
+        N = n * n
+        H = np.zeros((s * N, s * N))
+        for j in range(1, s + 1):
+            Aj = np.linalg.matrix_power(A, j)
+            for i in range(1, s + 1):
+                H[(j - 1) * N:j * N, (i - 1) * N:i * N] = np.kron(Aj, Aj) @ (
+                    P[i, j] * np.kron(F[0], F[0]) + P[i, 0] * P[0, j] * idle)
+        return H
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def sym_restriction():
+    """Restriction of an operator on s-tuples of n x n blocks (row-major,
+    side s*n^2) that keeps blocks symmetric to the upper-triangle entries
+    of each block: S H E, where E embeds the upper triangle (a, b) of a
+    symmetric block at rows a*n+b and b*n+a, and S reads rows a*n+b."""
+
+    def restrict(H, n):
+        a, b = np.triu_indices(n)
+        k = np.arange(a.size)
+        E = np.zeros((n * n, a.size))
+        E[a * n + b, k] = E[b * n + a, k] = 1.0
+        S = np.zeros((a.size, n * n))
+        S[k, a * n + b] = 1.0
+        s = H.shape[0] // (n * n)
+        return np.kron(np.eye(s), S) @ H @ np.kron(np.eye(s), E)
+
+    return restrict
 
 
 @pytest.fixture(scope="session")

@@ -203,6 +203,49 @@ def test_transform_singular_matrix(tmp_path, problems_dir):
     assert "smallest singular value" in err
 
 
+# Reports from before the gain operator moved to symmetric blocks (s*n^2
+# to s*n(n+1)/2 unknowns), per demo: exit code, seeded radius, refined
+# radius and the certificate's re-verified margin (None: refused).
+PRE_SYMMETRIC = {
+    "identical_rows": (0, 0.6002362000000002, 0.04193434817538788,
+                       0.9999999999999929),
+    "resonant_rotation": (1, 2.5704900000000004, 2.5704900000000004, None),
+    "single_loss": (0, 0.28321999999999975, 6.014034184663054e-09,
+                    0.999999999999996),
+    "single_loss_sticky": (0, 0.7080499999999998, 1.799216081814193e-08,
+                           0.999999999999988),
+    "stable_burst2": (0, 0.3001181000000001, 0.02096717408769394,
+                      0.9999999999999974),
+}
+# The drift that move allows, absolute: seeded radii and margins move by
+# rounding; refined radii near deadbeat by eigenvalue error, about
+# sqrt(eps) (single_loss went 6.0e-9 -> 9.1e-9).
+DRIFT = {"seeded": 1.2e-16, "margin": 9e-15, "refined": 4.6e-9}
+
+
+@pytest.mark.parametrize("name", sorted(PRE_SYMMETRIC))
+def test_reports_drift_within_stated_bounds(problems_dir, name):
+    code, seeded, refined, margin = PRE_SYMMETRIC[name]
+    path = str(problems_dir / f"{name}.json")
+    verdict = "stable" if code == 0 else "not-proven"
+    for cmd in ("analyze", "compare"):
+        got, rep = _report(cmd, path)
+        assert (got, rep["verdict"]) == (code, verdict)
+        assert abs(rep["rho_gain_condition_seeded"] - seeded) <= DRIFT["seeded"]
+        assert abs(rep["rho_gain_condition"] - refined) <= DRIFT["refined"]
+    got, rep = _report("certificate", path)
+    assert (got, rep["verdict"]) == (code, verdict)
+    assert abs(rep["rho_gain_condition"] - refined) <= DRIFT["refined"]
+    if margin is None:
+        assert "margin_reverified" not in rep
+    else:
+        assert abs(rep["margin_reverified"] - margin) <= DRIFT["margin"]
+    got, rep = _report("transform", path, "--S",
+                       str(problems_dir / "transform_S.json"))
+    assert (got, rep["verdict"]) == (code, verdict)
+    assert abs(rep["rho_gain_condition"] - seeded) <= DRIFT["seeded"]
+
+
 def test_compare_exit_codes(problems_dir):
     code, rep = _report("compare", str(problems_dir / "identical_rows.json"))
     assert code == 0

@@ -89,9 +89,9 @@ def test_solve_matches_neumann_series(plant, chain_burst2):
     _, gains = closed_form_gains(plant)
     H = gain_condition_matrix(plant, chain_burst2, gains).matrix
     assert spectral_radius(H) < 1
-    b = np.tile(np.eye(2).ravel(), 2)
-    x_direct = solve(np.eye(8) - H, b)
-    x_series = np.zeros(8)
+    b = np.tile(np.eye(2)[np.triu_indices(2)], 2)  # I, I upper triangles
+    x_direct = solve(np.eye(6) - H, b)
+    x_series = np.zeros(6)
     term = b.copy()
     for _ in range(400):
         x_series += term
@@ -127,8 +127,8 @@ def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
         H = gain_condition_matrix(sysm, loss, closed_form_gains(sysm)[1])
         if H.rho >= 0.99:
             continue
-        lhs = np.eye(s * n * n) - H.matrix
-        rhs = np.concatenate([np.eye(n).ravel()] * s)
+        rhs = np.tile(np.eye(n)[np.triu_indices(n)], s)
+        lhs = np.eye(rhs.size) - H.matrix
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(lhs), rhs)
         assert np.linalg.norm(solve(lhs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
         found += 1
