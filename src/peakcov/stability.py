@@ -8,18 +8,20 @@ Two sufficient conditions are implemented for the loss-gated filter:
   with Kronecker-vectorized burst dynamics. Those blocks are symmetric,
   so it acts on their upper triangles: side s*n(n+1)/2, not s*n^2, with
   the same spectral radius (see _operator). _operator forms the plant
-  and chain constants once and returns the map from gains to this matrix,
-  so search_gains evaluates only the gain part.
+  and chain constants once and returns the map from gains to this matrix
+  and the map from it to the next gains, so search_gains evaluates only
+  the gain part.
 * norm_condition_matrix builds the coarser s x s matrix of norm bounds
   (d_l times transition masses, scaled by ||A^j||^2); its radius below 1
   is the coordinate-dependent condition it is compared against.
 
 min_norm_gain gives the closed-form gain minimizing ||A^l + K C_stack||
 (split along the row space / null space of the stacked observation map),
-which seeds search_gains. Certificates are the coupled-inequality
-witnesses X_1..X_s: built from a Neumann-series solve when rho < 1 and
-checked by direct evaluation of the coupled sums, a route that shares
-no code with _operator.
+which seeds search_gains' Perron-Kalman descent (see _search).
+Certificates are the coupled-inequality witnesses X_1..X_s: the
+operator's Neumann series on identity blocks, solved directly when
+rho < 1, and checked by direct evaluation of the coupled sums, a route
+that shares no code with _operator.
 """
 
 from __future__ import annotations
@@ -141,9 +143,10 @@ def closed_form_gains(sys: SystemModel) -> tuple[list[float], list[np.ndarray]]:
 
 
 def _operator(sys: SystemModel, loss: LossModel, depths: int):
-    """Map from a list of `depths` gain blocks to the gain-condition
-    matrix on symmetric blocks, of side s*n(n+1)/2. With
-    F_l = A^l + K_l O_l it is diag((A kron A)^j, j=1..s) applied to
+    """Two maps on a list of `depths` gain blocks: to the gain-condition
+    matrix on symmetric blocks, of side s*n(n+1)/2, and from such a
+    matrix to the Perron-Kalman target gains (see _search). With
+    F_l = A^l + K_l O_l the matrix is diag((A kron A)^j, j=1..s) applied to
     [P_blk.T kron (F_1 kron F_1) + Q_blk.T kron Ksum], Ksum summing
     p00^(l-2) F_l kron F_l over depths 2..Io-1 (zero when Io <= 2, making
     the result independent of Q_blk), each n^2-square factor K acting on
@@ -154,19 +157,21 @@ def _operator(sys: SystemModel, loss: LossModel, depths: int):
     blocks do not exceed it (Russo-Dye; Costa, Fragoso & Marques 2005).
     What the gains do not touch is formed once.
     """
-    a, b = np.triu_indices(sys.n)
-    r, c2, N = a * sys.n + b, b * sys.n + a, a.size
+    n, s = sys.n, loss.s
+    a, b = np.triu_indices(n)
+    r, c2, N = a * n + b, b * n + a, a.size
 
     def sym(K):  # K on all n x n blocks -> K on the symmetric ones
         return K[r][:, r] + K[r][:, c2] * (a != b)
 
     Al = [np.linalg.matrix_power(sys.A, l) for l in range(1, depths + 1)]
     obs = [_obs_stack(sys.A, sys.C, l) for l in range(1, depths + 1)]
+    Aj = np.array([np.linalg.matrix_power(sys.A, j) for j in range(1, s + 1)])
     Pb, Qb = submatrices(loss)
     weights = [loss.Pi[0, 0] ** (l - 2) for l in range(2, depths + 1)]
     AA = sym(np.kron(sys.A, sys.A))
     powers = [np.eye(N)]
-    for _ in range(loss.s):
+    for _ in range(s):
         powers.append(powers[-1] @ AA)
 
     def matrix(gains) -> np.ndarray:
@@ -179,14 +184,33 @@ def _operator(sys: SystemModel, loss: LossModel, depths: int):
             M[j * N:(j + 1) * N] = blk @ M[j * N:(j + 1) * N]
         return M
 
-    return matrix
+    def blocks(M) -> np.ndarray:  # Perron vector of M -> s symmetric blocks
+        w, v = np.linalg.eig(M)
+        X = np.empty((s, n, n))
+        X[:, a, b] = X[:, b, a] = v[:, np.argmax(w.real)].real.reshape(s, N)
+        return X
+
+    def target(M) -> list[np.ndarray]:
+        X = blocks(M)
+        Y = blocks(M.T) * np.where(np.eye(n), 1.0, 0.5)  # duals of triu
+        Xbar = np.einsum("i,ikl->kl", loss.Pi[1:, 0], X)
+        gains = [-al @ Xbar @ o.T @ np.linalg.pinv(o @ Xbar @ o.T)
+                 for al, o in zip(Al[1:], obs[1:])]
+        Mj = Aj.transpose(0, 2, 1) @ Y @ Aj
+        Ni = obs[0] @ X @ obs[0].T
+        L = np.einsum("ij,jab,idc->adbc", Pb, Mj, Ni).reshape(n * sys.m, -1)
+        rhs = np.einsum("ij,jab,ibc->ac", Pb, Mj, sys.A @ X @ obs[0].T)
+        K1 = np.linalg.lstsq(L, -rhs.reshape(-1), rcond=None)[0]  # Y_j may be singular
+        return [K1.reshape(n, sys.m)] + gains
+
+    return matrix, target
 
 
 def gain_condition_matrix(sys: SystemModel, loss: LossModel, gains) -> StabilityMatrix:
     """The stability operator of a gain set on symmetric blocks (side
     s*n(n+1)/2, see _operator) and its spectral radius."""
     gl = check_gains(sys, gains)
-    H = _operator(sys, loss, len(gl))(gl)
+    H = _operator(sys, loss, len(gl))[0](gl)
     return StabilityMatrix(matrix=H, rho=linalg.spectral_radius(H))
 
 
@@ -273,14 +297,16 @@ def build_certificate(
     blocks converges; the witnesses' upper triangles, stacked, solve
     (I - H) y = (I, ..., I), and the exactly symmetric blocks filled from
     them satisfy X_j - LHS_j = I, so the verified margin is about 1.
-    Raises NotStable when rho >= 1 - tol.
+    I - H may be ill-conditioned while rho < 1 (large gains), so the
+    solve refuses nothing: the verified margin decides. Raises NotStable
+    when rho >= 1 - tol.
     """
     sm = gain_condition_matrix(sys, loss, gains)
     if not is_stable(sm.rho, tol):
         raise NotStable(f"spectral radius {sm.rho!r} is not below 1 - {tol:g}")
     a, b = np.triu_indices(sys.n)
     eye = np.tile((a == b).astype(float), loss.s)
-    y = linalg.solve(np.eye(eye.size) - sm.matrix, eye)
+    y = np.linalg.solve(np.eye(eye.size) - sm.matrix, eye)
     X = np.empty((loss.s, sys.n, sys.n))
     X[:, a, b] = X[:, b, a] = y.reshape(loss.s, -1)
     blocks = list(X)
@@ -288,119 +314,58 @@ def build_certificate(
     return Certificate(blocks=blocks, margin=margin)
 
 
-def _pack(gains: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([K.reshape(-1) for K in gains])
+# Perron-Kalman search limits: steps taken, and the shortest step
+# fraction the halving line search tries
+MAX_STEPS = 30
+MIN_STEP = 1e-3
 
 
-def _unpack(x: np.ndarray, shapes) -> list[np.ndarray]:
-    ends = np.cumsum([r * c for r, c in shapes])[:-1]
-    return [p.reshape(shp) for p, shp in zip(np.split(x, ends), shapes)]
-
-
-class _Exhausted(Exception):
-    """_nelder_mead's evaluation budget ran out."""
-
-
-def _nelder_mead(f, x0: np.ndarray, maxfev: int, tol: float):
-    """Nelder-Mead simplex search (Nelder & Mead, 1965) from x0; returns
-    the best vertex and the least value.
-
-    A step-for-step port of SciPy's unbounded, non-adaptive
-    minimize(method="Nelder-Mead"), equal to it bit for bit: start steps
-    of 1.05x (0.00025 at 0), coefficients 1, 2, 1/2, 1/2, a stop once the
-    vertex and value spreads are both <= tol, or at the first evaluation
-    past maxfev, even partway through a shrink.
-    """
-    calls = 0
-
-    def fun(x):
-        nonlocal calls
-        if calls >= maxfev:
-            raise _Exhausted
-        calls += 1
-        return f(x)
-
-    N = x0.size
-    sim = np.tile(x0, (N + 1, 1))
-    sim[1:][np.diag_indices(N)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
-    fsim = np.full(N + 1, np.inf)
-    try:
-        for k in range(N + 1):
-            fsim[k] = fun(sim[k])
-    except _Exhausted:
-        pass
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    while calls < maxfev:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= tol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= tol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = 2 * xbar - sim[-1]
-            fxr = fun(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = fun(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                # contract outside when xr beats the worst vertex, else inside
-                outside = fxr < fsim[-1]
-                if outside:
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                else:
-                    xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = fun(xc)
-                if (fxc <= fxr) if outside else (fxc < fsim[-1]):
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = fun(sim[j])
-        except _Exhausted:
-            pass
-        ind = np.argsort(fsim)
-        sim, fsim = sim[ind], fsim[ind]
-    return sim[0], np.min(fsim)
-
-
-def _search(sys: SystemModel, loss: LossModel, refine: bool,
-            budget: int = 500, xtol: float = 1e-10):
+def _search(sys: SystemModel, loss: LossModel, refine: bool):
     """search_gains, also returning the norm minima and the seeded
-    radius it computed on the way: (d, rho_seed, gains, rho)."""
+    radius it computed on the way: (d, rho_seed, gains, rho).
+
+    Each step takes the Perron pair of H: right blocks X and left blocks
+    Y, both PSD. The target gains K' minimize <Y, H_K'(X)>, a convex
+    quadratic separable by depth: for l >= 2 the Kalman gain
+    K_l = -A^l Xbar O_l' (O_l Xbar O_l')^+, Xbar = sum_i Pi[i,0] X_i, and
+    for depth 1 the n*m linear system
+    sum_ij Pi[i,j] M_j K N_i = -sum_ij Pi[i,j] M_j A X_i O_1' with
+    M_j = A^j' Y_j A^j, N_i = O_1 X_i O_1'. H_K'(X) <= rho X would give
+    rho(H_K') <= rho: policy iteration on the second-moment operator of a
+    Markov jump linear system (Costa, Fragoso & Marques 2005), the
+    spectral-radius analogue of Kleinman's Riccati iteration. Steps
+    K + t(K' - K), t = 1, 1/2, ... down to MIN_STEP, keep the first strict
+    decrease of rho; the search stops when none decreases it, or after
+    MAX_STEPS steps.
+    """
     d, seed = closed_form_gains(sys)
-    H = _operator(sys, loss, len(seed))
-    gains = seed
-    rho = rho_seed = linalg.spectral_radius(H(seed))
-    if refine:
-        shapes = [K.shape for K in seed]
-        x, fun = _nelder_mead(lambda x: linalg.spectral_radius(H(_unpack(x, shapes))),
-                              _pack(seed), budget, xtol)
-        if np.isfinite(fun) and fun < rho_seed:
-            gains, rho = _unpack(x, shapes), float(fun)
+    matrix, target = _operator(sys, loss, len(seed))
+    gains, M = seed, matrix(seed)
+    rho = rho_seed = linalg.spectral_radius(M)
+    for _ in range(MAX_STEPS if refine else 0):
+        goal, t = target(M), 1.0
+        while t >= MIN_STEP:
+            trial = [K + t * (G - K) for K, G in zip(gains, goal)]
+            Mt = matrix(trial)
+            rt = linalg.spectral_radius(Mt)
+            if rt < rho:
+                break
+            t /= 2
+        else:
+            break
+        gains, M, rho = trial, Mt, rt
     return d, rho_seed, gains, rho
 
 
-def search_gains(
-    sys: SystemModel,
-    loss: LossModel,
-    refine: bool = True,
-    budget: int = 500,
-    xtol: float = 1e-10,
-) -> tuple[list[np.ndarray], float]:
+def search_gains(sys: SystemModel, loss: LossModel,
+                 refine: bool = True) -> tuple[list[np.ndarray], float]:
     """Find a gain set with small spectral radius.
 
-    Seeds at the closed-form minimum-norm gains; optionally refines by
-    Nelder-Mead over all gain entries (objective: the spectral radius, at
-    most `budget` evaluations, vertex and value tolerance `xtol`). The
-    optimizer is _nelder_mead, a numpy port that reproduces SciPy's
-    Nelder-Mead bit for bit. The seed is kept whenever refinement fails to
-    improve, so the result never exceeds the seeded radius.
+    Seeds at the closed-form minimum-norm gains; optionally refines them
+    by Perron-Kalman descent (see _search), which accepts only steps that
+    lower the radius, so the result never exceeds the seeded radius.
     """
-    return _search(sys, loss, refine, budget, xtol)[2:]
+    return _search(sys, loss, refine)[2:]
 
 
 def similarity_transform(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import peakcov
-from peakcov import load_problem, verify_certificate
+from peakcov import load_problem, strict_margin_floor, verify_certificate
 from peakcov.cli import main
 from peakcov.problems import file_digest
 
@@ -105,6 +105,54 @@ def test_certificate_verifies_own_report(problems_dir):
         [np.asarray(b) for b in rep["certificate_blocks"]],
     )
     assert margin > 0.5
+
+
+def _problem_file(tmp_path, A, C, Pi):
+    n, m = len(A), len(C)
+    doc = {"A": A, "C": C, "Q": np.eye(n).tolist(), "R": np.eye(m).tolist(),
+           "Sigma0": np.eye(n).tolist(), "Pi": Pi}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _certificate_reverifies(path):
+    code, rep = _report("certificate", path)
+    assert code == 0 and rep["verdict"] == "stable"
+    sysm, loss, _ = load_problem(path)
+    blocks = [np.asarray(b) for b in rep["certificate_blocks"]]
+    margin = verify_certificate(sysm, loss,
+                                [np.asarray(g) for g in rep["gains"]], blocks)
+    assert margin == rep["margin_reverified"]
+    assert margin > strict_margin_floor(blocks)
+    return rep
+
+
+def test_search_proves_stable_sweep_plant(tmp_path):
+    # a seeded sweep plant (n=3, s=3, one output, entries rounded to two
+    # decimals): the seed gains give rho 2.53, and a 500-evaluation
+    # Nelder-Mead from them stopped at 2.0008, "not-proven"
+    path = _problem_file(
+        tmp_path,
+        A=[[0.61, 0.99, 0.55], [-0.27, -1.29, 0.36], [-0.9, -0.05, 1.42]],
+        C=[[0.06, 0.07, 0.73]],
+        Pi=[[0.62, 0.02, 0.27, 0.09], [0.77, 0.08, 0.01, 0.14],
+            [0.78, 0.17, 0.03, 0.02], [0.62, 0.0, 0.19, 0.19]])
+    code, rep = _report("analyze", path)
+    assert rep["rho_gain_condition_seeded"] > 2.5
+    assert rep["norm_condition_stable"] is False
+    assert code == 0 and rep["rho_gain_condition"] < 1.0
+    _certificate_reverifies(path)
+
+
+@pytest.mark.filterwarnings("ignore::peakcov.ModelAssumptionWarning")
+def test_certificate_of_ill_conditioned_stable_plant(tmp_path):
+    # ||H|| is about 1.8e6 at rho about 1e-4, so I - H has singular value
+    # ratio about 3e-13; the solve must not refuse it as an input error
+    path = _problem_file(tmp_path, A=[[0.5, 3000.0], [0.0, 0.5]],
+                         C=[[1.0, 0.0]], Pi=[[0.6, 0.4], [0.8, 0.2]])
+    rep = _certificate_reverifies(path)
+    assert rep["rho_gain_condition"] < 1e-3
 
 
 def test_certificate_refuses_unstable(problems_dir):
@@ -205,15 +253,18 @@ def test_transform_singular_matrix(tmp_path, problems_dir):
 
 # Reports from before the gain operator moved to symmetric blocks (s*n^2
 # to s*n(n+1)/2 unknowns), per demo: exit code, seeded radius, refined
-# radius and the certificate's re-verified margin (None: refused).
+# radius and the certificate's re-verified margin (None: refused). The
+# single-loss demos' refined radii sit at eigenvalue noise, where each
+# search lands somewhere else, so their refined radius and margin are
+# those of the Perron-Kalman search (Nelder-Mead gave 6.0e-9 and 1.8e-8).
 PRE_SYMMETRIC = {
     "identical_rows": (0, 0.6002362000000002, 0.04193434817538788,
                        0.9999999999999929),
     "resonant_rotation": (1, 2.5704900000000004, 2.5704900000000004, None),
-    "single_loss": (0, 0.28321999999999975, 6.014034184663054e-09,
-                    0.999999999999996),
-    "single_loss_sticky": (0, 0.7080499999999998, 1.799216081814193e-08,
-                           0.999999999999988),
+    "single_loss": (0, 0.28321999999999975, 2.0808338484094035e-08,
+                    0.9999999999999968),
+    "single_loss_sticky": (0, 0.7080499999999998, 3.7067639730426354e-08,
+                           0.9999999999999747),
     "stable_burst2": (0, 0.3001181000000001, 0.02096717408769394,
                       0.9999999999999974),
 }
