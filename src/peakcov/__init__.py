@@ -19,11 +19,7 @@ from .errors import (
     Unobservable,
     Uncontrollable,
 )
-from .linalg import (
-    solve,
-    spectral_norm_sq,
-    spectral_radius,
-)
+from .linalg import spectral_norm_sq, spectral_radius
 from .markov import (
     LossModel,
     PeriodicChainWarning,
@@ -82,7 +78,7 @@ __all__ = [
     "Unobservable", "Uncontrollable", "RNotPositiveDefinite", "QNotPSD",
     "CovarianceNotPSD", "NotErgodic", "NotStable", "ProblemFormatError",
     # linear algebra
-    "spectral_radius", "spectral_norm_sq", "solve",
+    "spectral_radius", "spectral_norm_sq",
     # system
     "SystemModel", "StackedModel", "ValidationReport",
     "ModelAssumptionWarning", "validate", "observability_index", "stacked",

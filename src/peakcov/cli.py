@@ -1,15 +1,15 @@
 """peakcov command-line interface.
 
-Five subcommands over a JSON problem file:
+Subcommands over a JSON problem file:
 
-* analyze: observability index, norm minima, both stability conditions,
-  gain search, verdict.
-* certificate: witness matrices for a stable gain set, with a
-  re-verification pass run on the serialized report itself.
+* analyze, compare, certificate: one handler and one report: observability
+  index, norm minima, both stability conditions, the gain search and,
+  when the gain condition holds, the witness matrices X_1..X_s with
+  their margin re-verified from the serialized report. compare adds a
+  note. "stable" means that re-verified certificate.
 * simulate: Monte Carlo peak-norm statistics (report plus optional CSV).
 * transform: both conditions before and after a change of state
   coordinates (the norm condition moves, the gain condition does not).
-* compare: the two conditions side by side on one instance.
 
 Exit codes: 0 stability proven, 1 not proven, 2 input error. simulate
 exits 0 on completion; a simulation cannot prove stability and its
@@ -26,7 +26,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__, stability
-from .errors import NotStable, PeakcovError, ProblemFormatError
+from .errors import PeakcovError, ProblemFormatError
 from .problems import dumps_report, file_digest, load_matrix_file, load_problem
 from .sim import mc_estimate
 from .system import observability_index, validate
@@ -52,8 +52,12 @@ def _load(args):
 
 
 def cmd_analyze(args) -> int:
-    """analyze and compare: one report; compare adds a note and exits on
-    the gain condition alone."""
+    """analyze, compare and certificate: one report and one verdict.
+
+    Stable only when the gain condition holds and the certificate built
+    at the reported gains keeps a strict margin, both as built and as
+    re-verified from the report's serialized bytes. compare adds a note.
+    """
     sysm, loss, report = _load(args)
     rep = stability.compare_conditions(sysm, loss, refine=args.refine,
                                        tol=args.tol)
@@ -67,46 +71,30 @@ def cmd_analyze(args) -> int:
         "rho_gain_condition": rep.rho_refined,
         "gain_condition_stable": rep.gain_stable,
         "gains": rep.gains,
-        "verdict": "stable" if (rep.gain_stable or rep.norm_stable)
-                   else "not-proven",
     })
-    stable = report["verdict"] == "stable"
+    stable = False
+    if rep.gain_stable:
+        cert = stability.build_certificate(sysm, loss, rep.gains, tol=args.tol)
+        report["certificate_blocks"] = cert.blocks
+        report["margin"] = cert.margin
+        # re-verify from the serialized bytes, not the in-memory arrays
+        parsed = json.loads(dumps_report(report))
+        report["margin_reverified"] = stability.verify_certificate(
+            sysm,
+            loss,
+            [np.asarray(g, dtype=float) for g in parsed["gains"]],
+            [np.asarray(b, dtype=float) for b in parsed["certificate_blocks"]],
+        )
+        floor = stability.strict_margin_floor(cert.blocks, args.tol)
+        stable = cert.margin > floor and report["margin_reverified"] > floor
+    report["verdict"] = "stable" if stable else "not-proven"
     if args.command == "compare":
         report["note"] = (
             "the norm condition implies the gain condition at the minimum-norm "
             "gains; the reverse implication does not hold"
         )
-        stable = rep.gain_stable
     print(dumps_report(report))
     return EXIT_STABLE if stable else EXIT_NOT_PROVEN
-
-
-def cmd_certificate(args) -> int:
-    sysm, loss, report = _load(args)
-    gains, rho = stability.search_gains(sysm, loss, refine=args.refine)
-    report["rho_gain_condition"] = rho
-    report["gains"] = gains
-    try:
-        cert = stability.build_certificate(sysm, loss, gains, tol=args.tol)
-    except NotStable as e:
-        report.update(verdict="not-proven", error=str(e))
-        print(dumps_report(report))
-        return EXIT_NOT_PROVEN
-    report["certificate_blocks"] = cert.blocks
-    report["margin"] = cert.margin
-    # re-verify from the serialized bytes, not the in-memory arrays
-    parsed = json.loads(dumps_report(report))
-    report["margin_reverified"] = stability.verify_certificate(
-        sysm,
-        loss,
-        [np.asarray(g, dtype=float) for g in parsed["gains"]],
-        [np.asarray(b, dtype=float) for b in parsed["certificate_blocks"]],
-    )
-    floor = stability.strict_margin_floor(cert.blocks, args.tol)
-    ok = cert.margin > floor and report["margin_reverified"] > floor
-    report["verdict"] = "stable" if ok else "not-proven"
-    print(dumps_report(report))
-    return EXIT_STABLE if ok else EXIT_NOT_PROVEN
 
 
 def cmd_simulate(args) -> int:
@@ -177,20 +165,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("problem", help="problem file (JSON)")
-        sp.add_argument("--tol", type=float, default=1e-9,
+        sp.add_argument("--tol", type=float, default=stability.STABILITY_TOL,
                         help="stability margin: require rho < 1 - tol")
 
-    for name, func, help_ in (
-        ("analyze", cmd_analyze, "evaluate both stability conditions"),
-        ("certificate", cmd_certificate,
-         "construct and verify stability witnesses"),
-        ("compare", cmd_analyze, "norm vs gain condition side by side"),
+    for name, help_ in (
+        ("analyze", "evaluate both stability conditions"),
+        ("certificate", "construct and verify stability witnesses"),
+        ("compare", "norm vs gain condition side by side"),
     ):
         sp = sub.add_parser(name, help=help_)
         common(sp)
         sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
                         default=True, help="refine gains beyond the closed form")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("simulate", help="Monte Carlo peak-norm statistics")
     common(sp)

@@ -1,27 +1,24 @@
 """Dense real linear-algebra kernel.
 
-Spectral radii of nonsymmetric matrices, spectral norms, SVD ranks,
-and rank-checked linear solves. Everything is a pure function of
-ndarrays; all routines reject NaN/Inf input. numpy is the only
-dependency.
+Spectral radii of nonsymmetric matrices, spectral norms and SVD ranks.
+Everything is a pure function of ndarrays; all routines reject NaN/Inf
+input. numpy is the only dependency.
 
 Eigenvalues of nonsymmetric matrices come from LAPACK's Hessenberg
-reduction + implicitly shifted QR (real Schur form); solves are LU with
-partial pivoting (np.linalg.solve), refused as singular by the ratio of
-extreme singular values. Dense only: sizes here are s*n(n+1)/2 at desk scale.
+reduction + implicitly shifted QR (real Schur form). Dense only: sizes
+here are s*n(n+1)/2 at desk scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergence, Singular
+from .errors import NoConvergence
 
 __all__ = [
     "spectral_radius",
     "spectral_norm_sq",
     "sym_spectral_norm",
-    "solve",
 ]
 
 
@@ -72,28 +69,6 @@ def sym_spectral_norm(m):
     w = np.linalg.eigvalsh(np.asarray(m, dtype=float))
     top = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
     return float(top) if top.ndim == 0 else top
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve a @ x = b by LU with partial pivoting (np.linalg.solve).
-
-    Raises Singular when the smallest singular value of a is at most
-    1e-12 times the largest. b may be a vector or a matrix of
-    right-hand sides.
-    """
-    am = _as_matrix(a, "a")
-    if am.shape[0] != am.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got {am.shape}")
-    bv = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(bv)):
-        raise ValueError("right-hand side contains NaN or Inf entries")
-    sv = np.linalg.svd(am, compute_uv=False)
-    if sv.size and sv[-1] <= 1e-12 * sv[0]:
-        raise Singular(
-            f"smallest singular value {sv[-1]:.3e} is at most 1e-12 times "
-            f"the largest ({sv[0]:.3e})"
-        )
-    return np.linalg.solve(am, bv)
 
 
 def sv_rank(sv: np.ndarray, shape) -> int:

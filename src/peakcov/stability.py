@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotStable
+from .errors import DimensionMismatch, NotStable, Singular
 from .markov import LossModel, submatrices
 from .system import SystemModel, _obs_stack, observability_index
 
@@ -85,7 +85,6 @@ class ComparisonReport:
     rho_refined: float
     gain_stable: bool
     gains: list
-    tol: float
 
 
 def _gain_depths(sys: SystemModel) -> int:
@@ -376,12 +375,17 @@ def similarity_transform(
     Returns the transformed model (S^-1 A S, C S, S^-1 Q S^-T, R,
     S^-1 Sigma0 S^-T) and the gain set with every block premultiplied by
     S^-1. The gain-condition spectrum is invariant under this map; the
-    norm condition is not. Raises Singular for singular S.
+    norm condition is not. Raises Singular when the smallest singular
+    value of S is at most 1e-12 times the largest.
     """
     Sm = linalg._as_matrix(S, "S")
     if Sm.shape != (sys.n, sys.n):
         raise DimensionMismatch(f"S must be {sys.n}x{sys.n}, got {Sm.shape}")
-    Si = linalg.solve(Sm, np.eye(sys.n))
+    sv = np.linalg.svd(Sm, compute_uv=False)
+    if sv[-1] <= 1e-12 * sv[0]:
+        raise Singular(f"smallest singular value {sv[-1]:.3e} is at most "
+                       f"1e-12 times the largest ({sv[0]:.3e})")
+    Si = np.linalg.solve(Sm, np.eye(sys.n))
     A2 = Si @ sys.A @ Sm
     C2 = sys.C @ Sm
     Q2 = Si @ sys.Q @ Si.T
@@ -407,4 +411,4 @@ def compare_conditions(
     return ComparisonReport(
         d=d, rho_norm=rho_norm, norm_stable=is_stable(rho_norm, tol),
         rho_seeded=rho_seed, rho_refined=rho_ref,
-        gain_stable=is_stable(rho_ref, tol), gains=gains, tol=tol)
+        gain_stable=is_stable(rho_ref, tol), gains=gains)

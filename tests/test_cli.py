@@ -116,28 +116,39 @@ def _problem_file(tmp_path, A, C, Pi):
     return str(path)
 
 
-def _certificate_reverifies(path):
-    code, rep = _report("certificate", path)
-    assert code == 0 and rep["verdict"] == "stable"
+def _reverifies(path, rep):
+    # verify_certificate on the printed bytes gives the report's
+    # margin_reverified, above the strict floor
     sysm, loss, _ = load_problem(path)
     blocks = [np.asarray(b) for b in rep["certificate_blocks"]]
     margin = verify_certificate(sysm, loss,
                                 [np.asarray(g) for g in rep["gains"]], blocks)
-    assert margin == rep["margin_reverified"]
-    assert margin > strict_margin_floor(blocks)
+    assert margin == rep["margin_reverified"] > strict_margin_floor(blocks)
+
+
+def _certificate_reverifies(path):
+    code, rep = _report("certificate", path)
+    assert code == 0 and rep["verdict"] == "stable"
+    _reverifies(path, rep)
     return rep
 
 
+# a seeded sweep plant (n=3, s=3, one output, entries rounded to two
+# decimals) whose seed gains give rho 2.53
+SWEEP = dict(
+    A=[[0.61, 0.99, 0.55], [-0.27, -1.29, 0.36], [-0.9, -0.05, 1.42]],
+    C=[[0.06, 0.07, 0.73]],
+    Pi=[[0.62, 0.02, 0.27, 0.09], [0.77, 0.08, 0.01, 0.14],
+        [0.78, 0.17, 0.03, 0.02], [0.62, 0.0, 0.19, 0.19]])
+# the shear plant: ||H|| is about 1.8e6 at rho about 1e-4, so I - H has
+# singular value ratio about 3e-13
+SHEAR = dict(A=[[0.5, 3000.0], [0.0, 0.5]], C=[[1.0, 0.0]],
+             Pi=[[0.6, 0.4], [0.8, 0.2]])
+
+
 def test_search_proves_stable_sweep_plant(tmp_path):
-    # a seeded sweep plant (n=3, s=3, one output, entries rounded to two
-    # decimals): the seed gains give rho 2.53, and a 500-evaluation
-    # Nelder-Mead from them stopped at 2.0008, "not-proven"
-    path = _problem_file(
-        tmp_path,
-        A=[[0.61, 0.99, 0.55], [-0.27, -1.29, 0.36], [-0.9, -0.05, 1.42]],
-        C=[[0.06, 0.07, 0.73]],
-        Pi=[[0.62, 0.02, 0.27, 0.09], [0.77, 0.08, 0.01, 0.14],
-            [0.78, 0.17, 0.03, 0.02], [0.62, 0.0, 0.19, 0.19]])
+    # the gain search must descend from the seed's 2.53 to below 1
+    path = _problem_file(tmp_path, **SWEEP)
     code, rep = _report("analyze", path)
     assert rep["rho_gain_condition_seeded"] > 2.5
     assert rep["norm_condition_stable"] is False
@@ -147,11 +158,9 @@ def test_search_proves_stable_sweep_plant(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::peakcov.ModelAssumptionWarning")
 def test_certificate_of_ill_conditioned_stable_plant(tmp_path):
-    # ||H|| is about 1.8e6 at rho about 1e-4, so I - H has singular value
-    # ratio about 3e-13; the solve must not refuse it as an input error
-    path = _problem_file(tmp_path, A=[[0.5, 3000.0], [0.0, 0.5]],
-                         C=[[1.0, 0.0]], Pi=[[0.6, 0.4], [0.8, 0.2]])
-    rep = _certificate_reverifies(path)
+    # the solve of the ill-conditioned I - H must not refuse it as an
+    # input error
+    rep = _certificate_reverifies(_problem_file(tmp_path, **SHEAR))
     assert rep["rho_gain_condition"] < 1e-3
 
 
@@ -161,7 +170,6 @@ def test_certificate_refuses_unstable(problems_dir):
     assert code == 1
     assert rep["verdict"] == "not-proven"
     assert "certificate_blocks" not in rep
-    assert "error" in rep
 
 
 def test_simulate_csv_repeatable(tmp_path, problems_dir):
@@ -256,7 +264,7 @@ def test_transform_singular_matrix(tmp_path, problems_dir):
 # radius and the certificate's re-verified margin (None: refused). The
 # single-loss demos' refined radii sit at eigenvalue noise, where each
 # search lands somewhere else, so their refined radius and margin are
-# those of the Perron-Kalman search (Nelder-Mead gave 6.0e-9 and 1.8e-8).
+# those of the Perron-Kalman search.
 PRE_SYMMETRIC = {
     "identical_rows": (0, 0.6002362000000002, 0.04193434817538788,
                        0.9999999999999929),
@@ -279,22 +287,45 @@ def test_reports_drift_within_stated_bounds(problems_dir, name):
     code, seeded, refined, margin = PRE_SYMMETRIC[name]
     path = str(problems_dir / f"{name}.json")
     verdict = "stable" if code == 0 else "not-proven"
-    for cmd in ("analyze", "compare"):
+    for cmd in ("analyze", "compare", "certificate"):
         got, rep = _report(cmd, path)
         assert (got, rep["verdict"]) == (code, verdict)
         assert abs(rep["rho_gain_condition_seeded"] - seeded) <= DRIFT["seeded"]
         assert abs(rep["rho_gain_condition"] - refined) <= DRIFT["refined"]
-    got, rep = _report("certificate", path)
-    assert (got, rep["verdict"]) == (code, verdict)
-    assert abs(rep["rho_gain_condition"] - refined) <= DRIFT["refined"]
-    if margin is None:
-        assert "margin_reverified" not in rep
-    else:
-        assert abs(rep["margin_reverified"] - margin) <= DRIFT["margin"]
+        if margin is None:
+            assert "margin_reverified" not in rep
+        else:
+            assert abs(rep["margin_reverified"] - margin) <= DRIFT["margin"]
     got, rep = _report("transform", path, "--S",
                        str(problems_dir / "transform_S.json"))
     assert (got, rep["verdict"]) == (code, verdict)
     assert abs(rep["rho_gain_condition"] - seeded) <= DRIFT["seeded"]
+
+
+@pytest.mark.filterwarnings("ignore::peakcov.ModelAssumptionWarning")
+@pytest.mark.parametrize("name", sorted(PRE_SYMMETRIC) + ["shear", "sweep"])
+def test_one_verdict_path(tmp_path, problems_dir, name):
+    # analyze, compare and certificate print one report and exit alike;
+    # "stable" is a certificate that re-verifies from the printed bytes
+    plants = {"shear": SHEAR, "sweep": SWEEP}
+    path = (_problem_file(tmp_path, **plants[name]) if name in plants
+            else str(problems_dir / f"{name}.json"))
+    runs = {cmd: _report(cmd, path)
+            for cmd in ("analyze", "compare", "certificate")}
+    assert {code for code, _ in runs.values()} == {
+        1 if name == "resonant_rotation" else 0}
+    for cmd, (_, rep) in runs.items():
+        assert rep.pop("command") == cmd
+    assert "norm condition implies" in runs["compare"][1].pop("note")
+    code, rep = runs["analyze"]
+    assert runs["compare"][1] == rep == runs["certificate"][1]
+    if code == 1:
+        assert rep["verdict"] == "not-proven"
+        assert not {"certificate_blocks", "margin",
+                    "margin_reverified"} & rep.keys()
+        return
+    assert rep["verdict"] == "stable"
+    _reverifies(path, rep)
 
 
 def test_compare_exit_codes(problems_dir):
@@ -328,7 +359,7 @@ def test_import_loads_no_scipy():
 
 
 def test_package_line_ceiling_and_exports():
-    # the package must not grow past 2026 lines (ROADMAP aim 2), and every
+    # the package must not grow past 1812 lines (ROADMAP aim 2), and every
     # exported name must resolve
     src = os.path.dirname(os.path.abspath(peakcov.__file__))
     lines = 0
@@ -336,5 +367,5 @@ def test_package_line_ceiling_and_exports():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 lines += sum(1 for _ in f)
-    assert lines <= 2026
+    assert lines <= 1812
     assert [n for n in peakcov.__all__ if not hasattr(peakcov, n)] == []

@@ -1,4 +1,6 @@
-"""Linear-algebra kernel: identities, frozen values, error paths."""
+"""Linear-algebra kernel: identities, frozen values, error paths; the
+certificate's solve against scipy's LU and the Neumann series, and the
+singular-value rule of the similarity transform."""
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import scipy.linalg
 
 from peakcov import (
     Singular,
+    build_certificate,
     closed_form_gains,
     gain_condition_matrix,
-    solve,
+    similarity_transform,
     spectral_norm_sq,
     spectral_radius,
 )
@@ -71,26 +74,21 @@ def test_spectral_norm_sq_matches_radius_of_gram():
         assert abs(s2 - spectral_radius(m.T @ m)) <= 1e-10 * (1 + s2)
 
 
-def test_solve_identity_and_residual():
-    b = np.array([3.0, -1.0])
-    np.testing.assert_array_equal(solve(np.eye(2), b), b)
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    b = rng.standard_normal((5, 2))
-    x = solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-9 * (1 + np.linalg.norm(b))
+def _stacked_triangles(cert, n):
+    # the certificate blocks' upper triangles, stacked: the solution of
+    # (I - H) y = (I, ..., I) that build_certificate fills the blocks from
+    a, b = np.triu_indices(n)
+    return np.stack(cert.blocks)[:, a, b].reshape(-1)
 
 
 def test_solve_matches_neumann_series(plant, chain_burst2):
     # the certificate construction inverts I - H; when rho(H) < 1 the
     # geometric series for the inverse gives an independent answer
-    from peakcov import closed_form_gains
-
     _, gains = closed_form_gains(plant)
     H = gain_condition_matrix(plant, chain_burst2, gains).matrix
     assert spectral_radius(H) < 1
+    x_direct = _stacked_triangles(build_certificate(plant, chain_burst2, gains), 2)
     b = np.tile(np.eye(2)[np.triu_indices(2)], 2)  # I, I upper triangles
-    x_direct = solve(np.eye(6) - H, b)
     x_series = np.zeros(6)
     term = b.copy()
     for _ in range(400):
@@ -99,24 +97,31 @@ def test_solve_matches_neumann_series(plant, chain_burst2):
     assert np.linalg.norm(x_direct - x_series) <= 1e-10 * (1 + np.linalg.norm(x_direct))
 
 
-def test_solve_singular_raises():
-    with pytest.raises(Singular):
-        solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0])
+def test_solve_singular_raises(plant):
+    # similarity_transform refuses a singular change of coordinates
+    gains = closed_form_gains(plant)[1]
+    with pytest.raises(Singular, match="smallest singular value"):
+        similarity_transform(plant, gains, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def test_solve_singular_boundary():
-    # singular value ratios 2.5e-15 and 2.5e-7 sit on either side of the
-    # 1e-12 rule, as they did of the old LU pivot floor
+def test_solve_singular_boundary(plant):
+    # singular value ratios 1e-14 and 1e-6 sit on either side of the
+    # 1e-12 rule
+    gains = closed_form_gains(plant)[1]
     with pytest.raises(Singular):
-        solve([[1.0, 1.0], [1.0, 1.0 + 1e-14]], [1.0, 0.0])
-    x = solve([[1.0, 1.0], [1.0, 1.0 + 1e-6]], [1.0, 0.0])
-    np.testing.assert_allclose(x, [1e6 + 1.0, -1e6], rtol=1e-9)
+        similarity_transform(plant, gains, np.diag([1.0, 1e-14]))
+    S = np.diag([1.0, 1e-6])
+    sys2, gains2 = similarity_transform(plant, gains, S)
+    Si = np.diag([1.0, 1e6])
+    np.testing.assert_allclose(sys2.A, Si @ plant.A @ S, rtol=1e-12)
+    for K, K2 in zip(gains, gains2):
+        np.testing.assert_allclose(K2, Si @ K, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n,s", [(2, 1), (3, 2), (4, 3), (6, 4), (8, 4)])
 def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
-    # the one stated tolerance for the rounding of np.linalg.solve against
-    # scipy's LU on the systems build_certificate solves
+    # the one stated tolerance for the rounding of build_certificate's
+    # solve against scipy's LU on the same system
     rng = np.random.default_rng(100 * n + s)
     found = 0
     while found < 4:
@@ -124,11 +129,13 @@ def test_solve_matches_lu_solve_on_certificate_systems(random_problem, n, s):
         if problem is None:
             continue
         sysm, loss = problem
-        H = gain_condition_matrix(sysm, loss, closed_form_gains(sysm)[1])
+        gains = closed_form_gains(sysm)[1]
+        H = gain_condition_matrix(sysm, loss, gains)
         if H.rho >= 0.99:
             continue
         rhs = np.tile(np.eye(n)[np.triu_indices(n)], s)
         lhs = np.eye(rhs.size) - H.matrix
         ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(lhs), rhs)
-        assert np.linalg.norm(solve(lhs, rhs) - ref) <= 1e-12 * np.linalg.norm(ref)
+        got = _stacked_triangles(build_certificate(sysm, loss, gains), n)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         found += 1
