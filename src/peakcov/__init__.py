@@ -29,9 +29,7 @@ from .markov import (
 )
 from .problems import dumps_report, load_matrix_file, load_problem
 from .riccati import (
-    dare_fixed_point,
     fixed_gain_update,
-    iterate,
     measurement_update,
     optimal_gain,
     time_update,
@@ -63,11 +61,9 @@ from .stability import (
 )
 from .system import (
     ModelAssumptionWarning,
-    StackedModel,
     SystemModel,
     ValidationReport,
     observability_index,
-    stacked,
     validate,
 )
 
@@ -80,14 +76,13 @@ __all__ = [
     # linear algebra
     "spectral_radius", "spectral_norm_sq",
     # system
-    "SystemModel", "StackedModel", "ValidationReport",
-    "ModelAssumptionWarning", "validate", "observability_index", "stacked",
+    "SystemModel", "ValidationReport", "ModelAssumptionWarning", "validate",
+    "observability_index",
     # loss chain
     "LossModel", "PeriodicChainWarning", "stationary", "submatrices",
     "sojourn_pmf",
     # covariance updates
-    "time_update", "measurement_update", "optimal_gain", "iterate",
-    "fixed_gain_update", "dare_fixed_point",
+    "time_update", "measurement_update", "optimal_gain", "fixed_gain_update",
     # stability
     "STABILITY_TOL", "StabilityMatrix", "Certificate", "ComparisonReport",
     "is_stable", "min_norm_gain", "closed_form_gains",

@@ -2,18 +2,18 @@
 
 Subcommands over a JSON problem file:
 
-* analyze, compare, certificate: one handler and one report: observability
-  index, norm minima, both stability conditions, the gain search and,
-  when the gain condition holds, the witness matrices X_1..X_s with
-  their margin re-verified from the serialized report. compare adds a
-  note. "stable" means that re-verified certificate.
+* analyze, compare, certificate, transform: one handler and one report:
+  observability index, norm minima, both stability conditions, the gain
+  search and, when the gain condition holds, the witness matrices
+  X_1..X_s with their margin re-verified from the serialized report.
+  "stable" means that re-verified certificate. compare adds a note;
+  transform adds both conditions after a change of state coordinates
+  (the norm condition moves, the gain condition does not).
 * simulate: Monte Carlo peak-norm statistics (report plus optional CSV).
-* transform: both conditions before and after a change of state
-  coordinates (the norm condition moves, the gain condition does not).
 
-Exit codes: 0 stability proven, 1 not proven, 2 input error. simulate
-exits 0 on completion; a simulation cannot prove stability and its
-report says so.
+Exit codes: 0 stability proven, 1 not proven or a numerical failure of
+the analysis, 2 input error. simulate exits 0 on completion; a
+simulation cannot prove stability and its report says so.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys as _sys
 import numpy as np
 
 from . import __version__, stability
-from .errors import PeakcovError, ProblemFormatError
+from .errors import NoConvergence, PeakcovError, ProblemFormatError
 from .problems import dumps_report, file_digest, load_matrix_file, load_problem
 from .sim import mc_estimate
 from .system import observability_index, validate
@@ -52,13 +52,19 @@ def _load(args):
 
 
 def cmd_analyze(args) -> int:
-    """analyze, compare and certificate: one report and one verdict.
+    """analyze, compare, certificate and transform: one report and one
+    verdict.
 
     Stable only when the gain condition holds and the certificate built
     at the reported gains keeps a strict margin, both as built and as
-    re-verified from the report's serialized bytes. compare adds a note.
+    re-verified from the report's serialized bytes. compare adds a note;
+    transform adds the conditions in the coordinates x -> S^-1 x, with the
+    gain condition at S^-1 K for the reported gains K.
     """
     sysm, loss, report = _load(args)
+    if args.command == "transform":  # a singular S fails before the analysis
+        S = load_matrix_file(args.S, "S")
+        sysm2, _ = stability.similarity_transform(sysm, [], S)
     rep = stability.compare_conditions(sysm, loss, refine=args.refine,
                                        tol=args.tol)
     report.update({
@@ -72,6 +78,18 @@ def cmd_analyze(args) -> int:
         "gain_condition_stable": rep.gain_stable,
         "gains": rep.gains,
     })
+    if args.command == "transform":
+        d2, _ = stability.closed_form_gains(sysm2)
+        _, gains2 = stability.similarity_transform(sysm, rep.gains, S)
+        rho_gain2 = stability.gain_condition_matrix(sysm2, loss, gains2).rho
+        report.update({
+            "S": S,
+            "norm_minima_transformed": d2,
+            "rho_norm_condition_transformed":
+                stability.norm_condition_matrix(sysm2, loss, d2).rho,
+            "rho_gain_condition_transformed": rho_gain2,
+            "gain_condition_drift": abs(rep.rho_refined - rho_gain2),
+        })
     stable = False
     if rep.gain_stable:
         cert = stability.build_certificate(sysm, loss, rep.gains, tol=args.tol)
@@ -127,32 +145,6 @@ def cmd_simulate(args) -> int:
     return EXIT_STABLE
 
 
-def cmd_transform(args) -> int:
-    sysm, loss, report = _load(args)
-    S = load_matrix_file(args.S, "S")
-    d, gains = stability.closed_form_gains(sysm)
-    rho_norm = stability.norm_condition_matrix(sysm, loss, d).rho
-    rho_gain = stability.gain_condition_matrix(sysm, loss, gains).rho
-    sysm2, gains2 = stability.similarity_transform(sysm, gains, S)
-    d2, _ = stability.closed_form_gains(sysm2)
-    rho_norm2 = stability.norm_condition_matrix(sysm2, loss, d2).rho
-    rho_gain2 = stability.gain_condition_matrix(sysm2, loss, gains2).rho
-    report.update({
-        "S": S,
-        "norm_minima": d,
-        "norm_minima_transformed": d2,
-        "rho_norm_condition": rho_norm,
-        "rho_norm_condition_transformed": rho_norm2,
-        "rho_gain_condition": rho_gain,
-        "rho_gain_condition_transformed": rho_gain2,
-        "gain_condition_drift": abs(rho_gain - rho_gain2),
-        "verdict": "stable" if stability.is_stable(rho_gain, args.tol)
-                   else "not-proven",
-    })
-    print(dumps_report(report))
-    return EXIT_STABLE if report["verdict"] == "stable" else EXIT_NOT_PROVEN
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="peakcov",
@@ -193,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--S", required=True, metavar="PATH",
                     help="JSON file holding the transform matrix")
-    sp.set_defaults(func=cmd_transform)
+    sp.set_defaults(func=cmd_analyze, refine=True)
     return p
 
 
@@ -213,6 +205,10 @@ def main(argv=None) -> int:
             raise PeakcovError(
                 f"--seed must lie in [0, 2**128 - runs], got {seed}")
         return args.func(args)
+    except (NoConvergence, np.linalg.LinAlgError) as e:
+        print(f"peakcov: error: numerical failure ({type(e).__name__}): {e}",
+              file=_sys.stderr)
+        return EXIT_NOT_PROVEN
     except (ProblemFormatError, PeakcovError, OSError) as e:
         print(f"peakcov: error: {e}", file=_sys.stderr)
         return EXIT_INPUT_ERROR

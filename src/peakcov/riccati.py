@@ -3,29 +3,26 @@
 time_update is the open-loop propagation A X A' + Q (applied when the
 measurement packet is lost); measurement_update is the Riccati step that
 also absorbs one received measurement. fixed_gain_update evaluates the
-depth-i update for an arbitrary fixed gain; its minimum over gains is the
-i-fold measurement_update, attained at the optimal gain (the basis of the
+depth-i update for an arbitrary fixed gain, its noise term summed path by
+path from the gain blocks; its minimum over gains is the i-fold
+measurement_update, attained at the optimal gain (the basis of the
 stability analysis).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoConvergence
-from .system import SystemModel, stacked
+from .errors import DimensionMismatch
+from .system import SystemModel, _obs_stack
 
 __all__ = [
     "check_cov",
     "time_update",
     "measurement_update",
     "optimal_gain",
-    "iterate",
     "fixed_gain_update",
-    "dare_fixed_point",
 ]
 
 
@@ -83,58 +80,37 @@ def measurement_update(sys: SystemModel, X) -> np.ndarray:
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
-def iterate(op: Callable, sys: SystemModel, X, k: int) -> np.ndarray:
-    """k-fold composition of a covariance update; k = 0 is the identity."""
-    if k < 0:
-        raise ValueError("iteration count must be >= 0")
-    out = np.asarray(X, dtype=float)
-    for _ in range(k):
-        out = op(sys, out)
-    return out
-
-
 def fixed_gain_update(sys: SystemModel, i: int, gain, X) -> np.ndarray:
     """Depth-i covariance update with an arbitrary fixed gain.
 
-    Returns (A^i + gain @ obs_map) X (.)' + G J G' where G = [noise_to_state,
-    gain] and J is the stacked joint noise covariance. For every gain this
-    dominates the i-fold measurement_update (in the PSD order), with
-    equality at the optimal gain; gain must be n x (i*m).
+    gain = [K_0, ..., K_{i-1}] is n x (i*m), K_t acting on the t-th of i
+    outputs. Returns F X F' + sum_u (G_u Q G_u' + K_u R K_u') with
+    F = A^i + gain @ [C; CA; ...; C A^{i-1}] and
+    G_u = A^{i-1-u} + sum_{t>u} K_t C A^{t-1-u}, the path of process noise
+    w_u into the error. For every gain this dominates the i-fold
+    measurement_update (in the PSD order), with equality at the optimal
+    gain.
     """
     if i < 1:
         raise ValueError("depth must be >= 1")
     K = linalg._as_matrix(gain, "gain")
     X = np.asarray(X, dtype=float)
-    st = stacked(sys, i)
-    if K.shape != (sys.n, i * sys.m):
+    n, m = sys.n, sys.m
+    if K.shape != (n, i * m):
         raise DimensionMismatch(
-            f"gain must be {sys.n}x{i * sys.m} at depth {i}, got {K.shape}"
+            f"gain must be {n}x{i * m} at depth {i}, got {K.shape}"
         )
-    if X.shape != (sys.n, sys.n):
-        raise DimensionMismatch(f"X must be {sys.n}x{sys.n}, got {X.shape}")
-    F = np.linalg.matrix_power(sys.A, i) + K @ st.obs_map
-    G = np.hstack([st.noise_to_state, K])
-    out = F @ X @ F.T + G @ st.joint_cov @ G.T
+    if X.shape != (n, n):
+        raise DimensionMismatch(f"X must be {n}x{n}, got {X.shape}")
+    Ap = [np.eye(n)]
+    for _ in range(i):
+        Ap.append(Ap[-1] @ sys.A)
+    Kt = [K[:, t * m:(t + 1) * m] for t in range(i)]
+    F = Ap[i] + K @ _obs_stack(sys.A, sys.C, i)
+    out = F @ X @ F.T
+    for u in range(i):
+        G = Ap[i - 1 - u].copy()
+        for t in range(u + 1, i):
+            G += Kt[t] @ sys.C @ Ap[t - 1 - u]
+        out += G @ sys.Q @ G.T + Kt[u] @ sys.R @ Kt[u].T
     return (out + out.T) / 2.0
-
-
-def dare_fixed_point(
-    sys: SystemModel, rel_tol: float = 1e-12, max_iter: int = 100_000
-) -> np.ndarray:
-    """Fixed point P* of measurement_update, by iteration from Q.
-
-    Stops when the relative change drops below rel_tol; raises
-    NoConvergence if the budget is exhausted or the residual
-    ||update(P*) - P*|| exceeds 1e-10*(1+||P*||).
-    """
-    P = sys.Q.copy()
-    for _ in range(max_iter):
-        P, prev = measurement_update(sys, P), P
-        if np.linalg.norm(P - prev) <= rel_tol * (1.0 + np.linalg.norm(P)):
-            break
-    else:
-        raise NoConvergence(f"no fixed point within {max_iter} iterations")
-    resid = np.linalg.norm(measurement_update(sys, P) - P)
-    if resid > 1e-10 * (1.0 + np.linalg.norm(P)):
-        raise NoConvergence(f"fixed-point residual {resid:.3e} too large")
-    return P

@@ -37,6 +37,11 @@ __all__ = [
     "growth_trend",
 ]
 
+# enumerate_first_peak stops its geometric sum over leading receptions
+# once the remaining mass is below _TRUNC_EPS, or after _MAX_LEAD terms
+_TRUNC_EPS = 1e-12
+_MAX_LEAD = 100000
+
 
 @dataclass(frozen=True, eq=False)
 class McEstimate:
@@ -128,27 +133,18 @@ def mc_estimate(
     )
 
 
-def enumerate_first_peak(
-    sys: SystemModel,
-    loss: LossModel,
-    trunc_eps: float = 1e-12,
-    max_lead: int = 100000,
-) -> FirstPeakEnumeration:
+def enumerate_first_peak(sys: SystemModel, loss: LossModel) -> FirstPeakEnumeration:
     """Exact expectation of the first post-burst covariance.
 
     Conditions on the arrival prefix: a-1 immediate receptions (each a
     zero gap) followed by the first burst of length b in 1..s. The
     leading-reception count a has a geometric tail in Pi[0,0]; it is
-    truncated once the remaining mass drops below trunc_eps. Burst
+    truncated once the remaining mass drops below _TRUNC_EPS. Burst
     lengths need no truncation, the gap chain bounds them by s.
 
     Returns both the mean matrix and the mean of the norm; stability is
     about the latter, and the two differ (norm is convex).
     """
-    if trunc_eps <= 0.0:
-        raise ValueError("trunc_eps must be positive")
-    if max_lead < 1:
-        raise ValueError("max_lead must be >= 1")
     check_cov(sys.Sigma0, "Sigma0")
     s = loss.s
     pi = loss.pi_stat
@@ -178,7 +174,7 @@ def enumerate_first_peak(
     lead_mass = float(pi[0])  # mass of prefixes with >= a-1 leading zero gaps
     if lead_mass > 0.0:
         gX = sys.Sigma0
-        while lead_mass >= trunc_eps and a < max_lead:
+        while lead_mass >= _TRUNC_EPS and a < _MAX_LEAD:
             a += 1
             gX = measurement_update(sys, gX)
             w_lead = lead_mass

@@ -1,4 +1,4 @@
-"""The LTI plant and its stacked multi-step observation model.
+"""The LTI plant, its standing assumptions and its observability index.
 
 A SystemModel carries (A, C, Q, R, Sigma0) for
 
@@ -8,16 +8,8 @@ A SystemModel carries (A, C, Q, R, Sigma0) for
 with x[0] ~ (0, Sigma0). validate() checks the standing assumptions
 (observability of (A, C), controllability of (A, Q^{1/2}), R positive
 definite) and computes the observability index: the smallest i for which
-the stacked map [C; CA; ...; C A^{i-1}] has full column rank.
-
-stacked(sys, i) assembles the i-step batch model
-
-    Y = obs_map x[k] + noise_to_output W + V,
-    x[k+i] = A^i x[k] + noise_to_state W,
-
-where W stacks i process-noise vectors and V stacks i measurement
-noises; joint_cov is the covariance of (W, noise_to_output W + V).
-These blocks parametrize the fixed-gain covariance update in riccati.
+the stacked map [C; CA; ...; C A^{i-1}] (_obs_stack) has full column
+rank.
 """
 
 from __future__ import annotations
@@ -38,12 +30,10 @@ from .errors import (
 
 __all__ = [
     "SystemModel",
-    "StackedModel",
     "ValidationReport",
     "ModelAssumptionWarning",
     "validate",
     "observability_index",
-    "stacked",
 ]
 
 
@@ -99,19 +89,6 @@ class SystemModel:
         return self.C.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class StackedModel:
-    """Multi-step batch-model blocks for a given depth i."""
-
-    depth: int
-    obs_map: np.ndarray          # (i*m) x n, rows C A^t
-    noise_to_state: np.ndarray   # n x (i*n), [A^{i-1}, ..., A, I]
-    noise_to_output: np.ndarray  # (i*m) x (i*n), lower block triangular
-    process_cov: np.ndarray      # (i*n) square, block-diag Q
-    measurement_cov: np.ndarray  # (i*m) square, block-diag R
-    joint_cov: np.ndarray        # (i*n + i*m) square, PSD
-
-
 @dataclass
 class ValidationReport:
     checks: dict = field(default_factory=dict)
@@ -128,6 +105,7 @@ def _rank(m: np.ndarray) -> int:
 
 
 def _obs_stack(A: np.ndarray, C: np.ndarray, i: int) -> np.ndarray:
+    """The depth-i stacked observation map [C; CA; ...; C A^{i-1}]."""
     rows = [C]
     for _ in range(i - 1):
         rows.append(rows[-1] @ A)
@@ -198,41 +176,3 @@ def validate(sys: SystemModel) -> ValidationReport:
         warnings.warn(msg, ModelAssumptionWarning, stacklevel=2)
 
     return rep
-
-
-def stacked(sys: SystemModel, i: int) -> StackedModel:
-    """Assemble the depth-i batch-model blocks (1 <= i <= n)."""
-    if not 1 <= i <= sys.n:
-        raise ValueError(f"depth must be in 1..{sys.n}, got {i}")
-    n, m = sys.n, sys.m
-    A, C = sys.A, sys.C
-
-    obs = _obs_stack(A, C, i)
-
-    powers = [np.eye(n)]
-    for _ in range(i - 1):
-        powers.append(powers[-1] @ A)
-    # noise_to_state: [A^{i-1}, ..., A, I]
-    n2s = np.hstack(powers[::-1])
-
-    # noise_to_output block (r, c) = C A^{r-1-c} for c < r, else 0
-    n2o = np.zeros((i * m, i * n))
-    for r in range(i):
-        for c in range(r):
-            n2o[r * m:(r + 1) * m, c * n:(c + 1) * n] = C @ powers[r - 1 - c]
-
-    pq = np.kron(np.eye(i), sys.Q)
-    pr = np.kron(np.eye(i), sys.R)
-    cross = pq @ n2o.T
-    joint = np.block([[pq, cross], [cross.T, n2o @ pq @ n2o.T + pr]])
-    joint = (joint + joint.T) / 2.0
-
-    return StackedModel(
-        depth=i,
-        obs_map=obs,
-        noise_to_state=n2s,
-        noise_to_output=n2o,
-        process_cov=pq,
-        measurement_cov=pr,
-        joint_cov=joint,
-    )

@@ -6,6 +6,7 @@ demo: losses always strike the same phase, so one coordinate is never
 seen. The 3x3 Jordan plant has observability index 3 and exercises the
 depth-2 gain blocks and idle-step weights.
 
+`receptions` composes the reception update measurement_update k times.
 `dense_operator` and `sym_restriction` are the oracle for the package's
 gain operator: the full s*n^2 Kronecker assembly on all n x n blocks,
 and its restriction to symmetric blocks in upper-triangle coordinates.
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peakcov import LossModel, SystemModel, Unobservable, observability_index
-from peakcov.system import stacked
+from peakcov import (LossModel, SystemModel, Unobservable, measurement_update,
+                     observability_index)
+from peakcov.system import _obs_stack
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "demos" / "problems"
 
@@ -84,6 +86,21 @@ def jordan_plant() -> SystemModel:
 
 
 @pytest.fixture(scope="session")
+def receptions():
+    """k reception updates in a row, g^k(X) with g = measurement_update;
+    k = 0 is the identity. Iterated from Q, this is the Riccati fixed
+    point the tests compare against."""
+
+    def run(sysm, X, k):
+        X = np.asarray(X, dtype=float)
+        for _ in range(k):
+            X = measurement_update(sysm, X)
+        return X
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return PROBLEMS_DIR
 
@@ -122,7 +139,7 @@ def dense_operator():
 
     def build(sysm, loss, gains):
         A, P, n, s = sysm.A, loss.Pi, sysm.n, loss.s
-        F = [np.linalg.matrix_power(A, l) + np.asarray(K) @ stacked(sysm, l).obs_map
+        F = [np.linalg.matrix_power(A, l) + np.asarray(K) @ _obs_stack(A, sysm.C, l)
              for l, K in enumerate(gains, start=1)]
         idle = sum(P[0, 0] ** (l - 2) * np.kron(F[l - 1], F[l - 1])
                    for l in range(2, len(F) + 1))

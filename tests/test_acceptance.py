@@ -24,7 +24,6 @@ from peakcov import (
     fixed_gain_update,
     gain_condition_matrix,
     growth_trend,
-    iterate,
     mc_estimate,
     measurement_update,
     norm_condition_matrix,
@@ -178,7 +177,7 @@ def test_criterion_06_certificate_round_trip(sweep):
              f"all tampered copies rejected")
 
 
-def test_criterion_07_gain_update_dominates(plant):
+def test_criterion_07_gain_update_dominates(plant, receptions):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -186,8 +185,7 @@ def test_criterion_07_gain_update_dominates(plant):
         X = b @ b.T
         i = int(rng.integers(1, 3))
         K = rng.uniform(-2, 2, (2, i))
-        diff = fixed_gain_update(plant, i, K, X) - iterate(
-            measurement_update, plant, X, i)
+        diff = fixed_gain_update(plant, i, K, X) - receptions(plant, X, i)
         lam = np.linalg.eigvalsh((diff + diff.T) / 2)[0]
         assert lam >= -1e-8 * (1 + sym_spectral_norm(X))
     # the optimal one-step gain attains the optimum exactly
@@ -199,7 +197,7 @@ def test_criterion_07_gain_update_dominates(plant):
     _verdict(7, 10.0, t0, f"200 draws dominated, optimum gap {gap:.2e}")
 
 
-def test_criterion_08_reception_map_saturates(plant):
+def test_criterion_08_reception_map_saturates(plant, receptions):
     """The thrice-iterated reception map g = measurement_update has a
     ceiling that does not depend on the start: ||g^3(c I)|| <= L for
     every c, and large starts saturate within a factor 2 of L.
@@ -241,7 +239,7 @@ def test_criterion_08_reception_map_saturates(plant):
     # and 1.8e-8 at c = 1e9, hence starts of at most 1e6 and this slack
     slack = 1e-9 * L
     starts = (1.0, 1e3, 1e6)
-    mats = [iterate(measurement_update, plant, c * np.eye(2), 3) for c in starts]
+    mats = [receptions(plant, c * np.eye(2), 3) for c in starts]
     vals = [sym_spectral_norm(X) for X in mats]
     assert max(vals) <= L + slack, (
         f"||g^3(cI)|| = {vals} for c in {starts} exceeds the ceiling L = {L}")

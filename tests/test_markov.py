@@ -148,14 +148,12 @@ def test_sojourn_pmf_depth_two_recursion(chain_burst2):
 
 def test_truncation_span(plant, chain_burst2):
     # the first-peak enumeration stops at the smallest a_1 whose residual
-    # mass pi_stat[0] * p00^(a_1 - 1) of longer leading runs is below eps
+    # mass pi_stat[0] * p00^(a_1 - 1) of longer leading runs is below 1e-12
     p0, p00 = chain_burst2.pi_stat[0], chain_burst2.Pi[0, 0]
-    enu = enumerate_first_peak(plant, chain_burst2, trunc_eps=1e-12)
+    enu = enumerate_first_peak(plant, chain_burst2)
     a = enu.max_span
     assert enu.tail_mass == pytest.approx(p0 * p00 ** (a - 1), rel=1e-12)
     assert enu.tail_mass < 1e-12 <= enu.tail_mass / p00
-    with pytest.raises(ValueError):
-        enumerate_first_peak(plant, chain_burst2, trunc_eps=0.0)
 
 
 def test_sample_gaps_determinism(chain_burst2):

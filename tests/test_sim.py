@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from peakcov import (
     LossModel,
+    SystemModel,
     enumerate_first_peak,
     growth_trend,
     load_problem,
@@ -231,8 +232,11 @@ def test_enumeration_two_term_degenerate_chain(plant):
 
 
 def test_enumeration_validation(plant, chain_burst2):
+    # the prior covariance Sigma0 must be PSD
+    bad = SystemModel(A=plant.A, C=plant.C, Q=plant.Q, R=plant.R,
+                      Sigma0=[[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(ValueError):
-        enumerate_first_peak(plant, chain_burst2, trunc_eps=0.0)
+        enumerate_first_peak(bad, chain_burst2)
 
 
 def test_burst_length_histogram(chain_burst2, reference_gaps):

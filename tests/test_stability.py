@@ -40,6 +40,7 @@ from peakcov import (
 )
 from peakcov import stability, system
 from peakcov.stability import check_gains
+from peakcov.system import _obs_stack
 
 RHO_NORM = {
     "burst2": 0.735231146395373,
@@ -66,8 +67,7 @@ def test_min_norm_gain_workhorse(plant):
     # depth 2 reaches the observability index: the residual vanishes
     d2, k2 = min_norm_gain(plant, 2)
     assert d2 == 0.0
-    from peakcov.system import stacked
-    f2 = np.linalg.matrix_power(plant.A, 2) + k2 @ stacked(plant, 2).obs_map
+    f2 = np.linalg.matrix_power(plant.A, 2) + k2 @ _obs_stack(plant.A, plant.C, 2)
     assert np.linalg.norm(f2) <= 1e-12
     with pytest.raises(ValueError):
         min_norm_gain(plant, 0)
@@ -88,9 +88,8 @@ def test_min_norm_gain_jordan(jordan_plant):
     assert d[1] == pytest.approx(6.0, abs=1e-12)
     np.testing.assert_allclose(k[1], [[1.0, -2.0], [1.0, -1.0], [0.0, 0.0]],
                                atol=1e-9)
-    from peakcov.system import stacked
-    f2 = np.linalg.matrix_power(jordan_plant.A, 2) + k[1] @ stacked(
-        jordan_plant, 2).obs_map
+    f2 = np.linalg.matrix_power(jordan_plant.A, 2) + k[1] @ _obs_stack(
+        jordan_plant.A, jordan_plant.C, 2)
     assert spectral_norm_sq(f2) == pytest.approx(6.0, abs=1e-9)
 
 
@@ -157,11 +156,10 @@ def test_gain_condition_ignores_idle_block_at_index_two(plant):
 
 def test_gain_condition_jordan_direct_assembly(jordan_plant, chain_burst2,
                                               sym_restriction):
-    from peakcov.system import stacked
     d, gains = closed_form_gains(jordan_plant)
     A = jordan_plant.A
     f1 = A + gains[0] @ jordan_plant.C
-    f2 = np.linalg.matrix_power(A, 2) + gains[1] @ stacked(jordan_plant, 2).obs_map
+    f2 = np.linalg.matrix_power(A, 2) + gains[1] @ _obs_stack(A, jordan_plant.C, 2)
     pb, qb = submatrices(chain_burst2)
     p00 = chain_burst2.Pi[0, 0]
     hb = np.kron(f1, f1)

@@ -1,4 +1,4 @@
-"""Plant validation, observability index, stacked batch-model blocks."""
+"""Plant validation, observability index, the stacked observation map."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,11 @@ from peakcov import (
     SystemModel,
     Uncontrollable,
     Unobservable,
+    fixed_gain_update,
     observability_index,
-    stacked,
     validate,
 )
+from peakcov.system import _obs_stack
 
 
 def _sys(A, C, Q=None, R=None, Sigma0=None):
@@ -113,43 +114,10 @@ def test_observability_index_similarity_invariant(plant, jordan_plant):
             assert observability_index(t) == observability_index(sysm)
 
 
-def test_stacked_base_case(plant):
-    st = stacked(plant, 1)
-    np.testing.assert_array_equal(st.obs_map, plant.C)
-    np.testing.assert_array_equal(st.noise_to_state, np.eye(2))
-    np.testing.assert_array_equal(st.noise_to_output, np.zeros((1, 2)))
-    expect = np.zeros((3, 3))
-    expect[:2, :2] = plant.Q
-    expect[2, 2] = plant.R[0, 0]
-    np.testing.assert_array_equal(st.joint_cov, expect)
-
-
-def test_stacked_depth_two(plant):
-    st = stacked(plant, 2)
-    np.testing.assert_allclose(st.obs_map, [[1.0, 1.0], [1.3, 1.5]], atol=1e-14)
-    np.testing.assert_array_equal(st.noise_to_state, np.hstack([plant.A, np.eye(2)]))
-    # lower block triangle: row 2 sees the first noise through C
-    np.testing.assert_array_equal(st.noise_to_output[0], np.zeros(4))
-    np.testing.assert_allclose(st.noise_to_output[1, :2], plant.C[0], atol=1e-14)
-
-
-def test_stacked_dimensions(jordan_plant):
-    for i in (1, 2, 3):
-        st = stacked(jordan_plant, i)
-        assert st.obs_map.shape == (i, 3)
-        assert st.noise_to_state.shape == (3, 3 * i)
-        assert st.noise_to_output.shape == (i, 3 * i)
-        assert st.joint_cov.shape == (4 * i, 4 * i)
-    with pytest.raises(ValueError):
-        stacked(jordan_plant, 0)
-    with pytest.raises(ValueError):
-        stacked(jordan_plant, 4)
-
-
 def test_stacked_rank_saturates_at_index(plant, jordan_plant):
     for sysm in (plant, jordan_plant):
         io = observability_index(sysm)
-        ranks = [np.linalg.matrix_rank(stacked(sysm, i).obs_map)
+        ranks = [np.linalg.matrix_rank(_obs_stack(sysm.A, sysm.C, i))
                  for i in range(1, sysm.n + 1)]
         assert all(r2 >= r1 for r1, r2 in zip(ranks, ranks[1:]))
         assert ranks[io - 1] == sysm.n
@@ -158,6 +126,8 @@ def test_stacked_rank_saturates_at_index(plant, jordan_plant):
 
 
 def test_joint_cov_psd_random_systems():
+    # at X = 0 the fixed-gain update is the joint covariance of the i
+    # process and measurement noises seen through the gain: PSD for any K
     rng = np.random.default_rng(22)
     for _ in range(10):
         A = rng.standard_normal((3, 3))
@@ -165,5 +135,6 @@ def test_joint_cov_psd_random_systems():
         B = rng.standard_normal((3, 3))
         sysm = SystemModel(A=A, C=C, Q=B @ B.T, R=np.eye(2), Sigma0=np.eye(3))
         for i in (1, 2, 3):
-            w = np.linalg.eigvalsh(stacked(sysm, i).joint_cov)
+            K = rng.uniform(-2, 2, (3, 2 * i))
+            w = np.linalg.eigvalsh(fixed_gain_update(sysm, i, K, np.zeros((3, 3))))
             assert w[0] >= -1e-10 * (1 + w[-1])
