@@ -34,7 +34,7 @@ def main():
     print(f"searched gain set: rho(H) = {rho:.6f} (< 1, certifiable)")
 
     cert = build_certificate(sysm, loss, gains)
-    floor = strict_margin_floor(cert.blocks, 1e-9)
+    floor = strict_margin_floor(cert.blocks)
     print(f"certificate blocks ({len(cert.blocks)}):")
     for j, block in enumerate(cert.blocks, start=1):
         print(f"  X_{j} =\n{np.array_str(block, precision=6)}")

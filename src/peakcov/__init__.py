@@ -28,12 +28,7 @@ from .markov import (
     submatrices,
 )
 from .problems import dumps_report, load_matrix_file, load_problem
-from .riccati import (
-    fixed_gain_update,
-    measurement_update,
-    optimal_gain,
-    time_update,
-)
+from .riccati import measurement_update, optimal_gain, time_update
 from .sim import (
     FirstPeakEnumeration,
     McEstimate,
@@ -62,7 +57,6 @@ from .stability import (
 from .system import (
     ModelAssumptionWarning,
     SystemModel,
-    ValidationReport,
     observability_index,
     validate,
 )
@@ -76,13 +70,12 @@ __all__ = [
     # linear algebra
     "spectral_radius", "spectral_norm_sq",
     # system
-    "SystemModel", "ValidationReport", "ModelAssumptionWarning", "validate",
-    "observability_index",
+    "SystemModel", "ModelAssumptionWarning", "validate", "observability_index",
     # loss chain
     "LossModel", "PeriodicChainWarning", "stationary", "submatrices",
     "sojourn_pmf",
     # covariance updates
-    "time_update", "measurement_update", "optimal_gain", "fixed_gain_update",
+    "time_update", "measurement_update", "optimal_gain",
     # stability
     "STABILITY_TOL", "StabilityMatrix", "Certificate", "ComparisonReport",
     "is_stable", "min_norm_gain", "closed_form_gains",

@@ -11,9 +11,13 @@ Subcommands over a JSON problem file:
   (the norm condition moves, the gain condition does not).
 * simulate: Monte Carlo peak-norm statistics (report plus optional CSV).
 
+The verdict takes no options: the gain search always refines, and the
+margin must exceed stability.strict_margin_floor.
+
 Exit codes: 0 stability proven, 1 not proven or a numerical failure of
-the analysis, 2 input error. simulate exits 0 on completion; a
-simulation cannot prove stability and its report says so.
+the analysis, 2 input error, a bad command line included, reported in
+one line. simulate exits 0 on completion; a simulation cannot prove
+stability and its report says so.
 """
 
 from __future__ import annotations
@@ -65,10 +69,8 @@ def cmd_analyze(args) -> int:
     if args.command == "transform":  # a singular S fails before the analysis
         S = load_matrix_file(args.S, "S")
         sysm2, _ = stability.similarity_transform(sysm, [], S)
-    rep = stability.compare_conditions(sysm, loss, refine=args.refine,
-                                       tol=args.tol)
+    rep = stability.compare_conditions(sysm, loss)
     report.update({
-        "tol": args.tol,
         "observability_index": observability_index(sysm),
         "norm_minima": rep.d,
         "rho_norm_condition": rep.rho_norm,
@@ -92,7 +94,7 @@ def cmd_analyze(args) -> int:
         })
     stable = False
     if rep.gain_stable:
-        cert = stability.build_certificate(sysm, loss, rep.gains, tol=args.tol)
+        cert = stability.build_certificate(sysm, loss, rep.gains)
         report["certificate_blocks"] = cert.blocks
         report["margin"] = cert.margin
         # re-verify from the serialized bytes, not the in-memory arrays
@@ -103,7 +105,7 @@ def cmd_analyze(args) -> int:
             [np.asarray(g, dtype=float) for g in parsed["gains"]],
             [np.asarray(b, dtype=float) for b in parsed["certificate_blocks"]],
         )
-        floor = stability.strict_margin_floor(cert.blocks, args.tol)
+        floor = stability.strict_margin_floor(cert.blocks)
         stable = cert.margin > floor and report["margin_reverified"] > floor
     report["verdict"] = "stable" if stable else "not-proven"
     if args.command == "compare":
@@ -145,8 +147,15 @@ def cmd_simulate(args) -> int:
     return EXIT_STABLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command-line error, so main reports it in one line."""
+
+    def error(self, message):
+        raise PeakcovError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="peakcov",
         description=("Peak-covariance stability analysis of Kalman filtering "
                      "under bounded Markovian packet loss"),
@@ -155,46 +164,33 @@ def _build_parser() -> argparse.ArgumentParser:
                    version=f"peakcov {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("problem", help="problem file (JSON)")
-        sp.add_argument("--tol", type=float, default=stability.STABILITY_TOL,
-                        help="stability margin: require rho < 1 - tol")
-
-    for name, help_ in (
-        ("analyze", "evaluate both stability conditions"),
-        ("certificate", "construct and verify stability witnesses"),
-        ("compare", "norm vs gain condition side by side"),
-    ):
+    def command(name, help_, func):
         sp = sub.add_parser(name, help=help_)
-        common(sp)
-        sp.add_argument("--refine", action=argparse.BooleanOptionalAction,
-                        default=True, help="refine gains beyond the closed form")
-        sp.set_defaults(func=cmd_analyze)
+        sp.add_argument("problem", help="problem file (JSON)")
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("simulate", help="Monte Carlo peak-norm statistics")
-    common(sp)
+    command("analyze", "evaluate both stability conditions", cmd_analyze)
+    command("certificate", "construct and verify stability witnesses",
+            cmd_analyze)
+    command("compare", "norm vs gain condition side by side", cmd_analyze)
+    sp = command("simulate", "Monte Carlo peak-norm statistics", cmd_simulate)
     sp.add_argument("--runs", type=int, default=1000)
     sp.add_argument("--horizon", type=int, default=10000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", metavar="PATH", default=None,
                     help="also write per-index series as CSV")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("transform",
-                        help="compare conditions under a state-coordinate change")
-    common(sp)
+    sp = command("transform",
+                 "compare conditions under a state-coordinate change",
+                 cmd_analyze)
     sp.add_argument("--S", required=True, metavar="PATH",
                     help="JSON file holding the transform matrix")
-    sp.set_defaults(func=cmd_analyze, refine=True)
     return p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        if not 0.0 <= args.tol < 1.0:
-            raise PeakcovError(f"--tol must lie in [0, 1), got {args.tol!r}")
+        args = _build_parser().parse_args(argv)
         for flag in ("runs", "horizon"):
             value = getattr(args, flag, 1)
             if value < 1:

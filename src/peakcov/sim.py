@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .markov import LossModel, _sample_arrivals
-from .riccati import check_cov, measurement_update, time_update
+from .riccati import measurement_update, time_update
 from .system import SystemModel
 
 __all__ = [
@@ -105,7 +105,6 @@ def mc_estimate(
     """
     if runs < 1 or horizon < 1:
         raise ValueError("runs and horizon must be >= 1")
-    check_cov(sys.Sigma0, "Sigma0")
     arr = _sample_arrivals(loss, horizon, range(base_seed, base_seed + runs))
     per_run = (arr[1:] & ~arr[:-1]).sum(axis=0)
     ends = np.cumsum(per_run)
@@ -145,7 +144,6 @@ def enumerate_first_peak(sys: SystemModel, loss: LossModel) -> FirstPeakEnumerat
     Returns both the mean matrix and the mean of the norm; stability is
     about the latter, and the two differ (norm is convex).
     """
-    check_cov(sys.Sigma0, "Sigma0")
     s = loss.s
     pi = loss.pi_stat
     P0 = loss.Pi[0, :]

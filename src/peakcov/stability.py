@@ -21,7 +21,8 @@ which seeds search_gains' Perron-Kalman descent (see _search).
 Certificates are the coupled-inequality witnesses X_1..X_s: the
 operator's Neumann series on identity blocks, solved directly when
 rho < 1, and checked by direct evaluation of the coupled sums, a route
-that shares no code with _operator.
+that shares no code with _operator. Every verdict has one threshold,
+STABILITY_TOL: is_stable for radii, strict_margin_floor for margins.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ __all__ = [
     "compare_conditions",
 ]
 
-# verdicts use rho < 1 - STABILITY_TOL to avoid boundary flapping
+# verdicts use rho < 1 - STABILITY_TOL, and margins above
+# strict_margin_floor, to avoid boundary flapping
 STABILITY_TOL = 1e-9
 
 
-def is_stable(rho: float, tol: float = STABILITY_TOL) -> bool:
-    return rho < 1.0 - tol
+def is_stable(rho: float) -> bool:
+    return rho < 1.0 - STABILITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,15 +283,14 @@ def verify_certificate(sys: SystemModel, loss: LossModel, gains, blocks) -> floa
     return margin
 
 
-def strict_margin_floor(blocks, tol: float = STABILITY_TOL) -> float:
-    """Strictness threshold tol*(1 + max block norm) for margin tests."""
+def strict_margin_floor(blocks) -> float:
+    """Strictness threshold STABILITY_TOL*(1 + max block norm) for margin
+    tests."""
     top = max(linalg.sym_spectral_norm(b) for b in blocks)
-    return tol * (1.0 + top)
+    return STABILITY_TOL * (1.0 + top)
 
 
-def build_certificate(
-    sys: SystemModel, loss: LossModel, gains, tol: float = STABILITY_TOL
-) -> Certificate:
+def build_certificate(sys: SystemModel, loss: LossModel, gains) -> Certificate:
     """Construct coupled-inequality witnesses from a stable gain set.
 
     With rho < 1, the operator series sum_k H^k applied to identity
@@ -298,11 +299,12 @@ def build_certificate(
     them satisfy X_j - LHS_j = I, so the verified margin is about 1.
     I - H may be ill-conditioned while rho < 1 (large gains), so the
     solve refuses nothing: the verified margin decides. Raises NotStable
-    when rho >= 1 - tol.
+    unless is_stable(rho).
     """
     sm = gain_condition_matrix(sys, loss, gains)
-    if not is_stable(sm.rho, tol):
-        raise NotStable(f"spectral radius {sm.rho!r} is not below 1 - {tol:g}")
+    if not is_stable(sm.rho):
+        raise NotStable(
+            f"spectral radius {sm.rho!r} is not below 1 - {STABILITY_TOL:g}")
     a, b = np.triu_indices(sys.n)
     eye = np.tile((a == b).astype(float), loss.s)
     y = np.linalg.solve(np.eye(eye.size) - sm.matrix, eye)
@@ -396,19 +398,18 @@ def similarity_transform(
     return sys2, gains2
 
 
-def compare_conditions(
-    sys: SystemModel, loss: LossModel, refine: bool = True, tol: float = STABILITY_TOL
-) -> ComparisonReport:
+def compare_conditions(sys: SystemModel, loss: LossModel) -> ComparisonReport:
     """Evaluate both conditions on one instance.
 
     The norm condition uses the optimal d_l; the gain condition reports
-    the closed-form-seeded radius and the refined radius. A (norm-stable,
-    gain-unstable) outcome cannot occur: norm stability implies stability
-    of the gain condition at the same seed gains.
+    the closed-form-seeded radius and the refined radius, whose gains it
+    returns. A (norm-stable, gain-unstable) outcome cannot occur: norm
+    stability implies stability of the gain condition at the same seed
+    gains, and refinement only lowers the radius.
     """
-    d, rho_seed, gains, rho_ref = _search(sys, loss, refine)
+    d, rho_seed, gains, rho_ref = _search(sys, loss, refine=True)
     rho_norm = norm_condition_matrix(sys, loss, d).rho
     return ComparisonReport(
-        d=d, rho_norm=rho_norm, norm_stable=is_stable(rho_norm, tol),
+        d=d, rho_norm=rho_norm, norm_stable=is_stable(rho_norm),
         rho_seeded=rho_seed, rho_refined=rho_ref,
-        gain_stable=is_stable(rho_ref, tol), gains=gains)
+        gain_stable=is_stable(rho_ref), gains=gains)

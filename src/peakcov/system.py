@@ -5,17 +5,18 @@ A SystemModel carries (A, C, Q, R, Sigma0) for
     x[k+1] = A x[k] + w[k],   Cov(w) = Q
     y[k]   = C x[k] + v[k],   Cov(v) = R
 
-with x[0] ~ (0, Sigma0). validate() checks the standing assumptions
-(observability of (A, C), controllability of (A, Q^{1/2}), R positive
-definite) and computes the observability index: the smallest i for which
-the stacked map [C; CA; ...; C A^{i-1}] (_obs_stack) has full column
-rank.
+with x[0] ~ (0, Sigma0). Construction refuses inadmissible covariances
+(Q or Sigma0 not PSD, R not positive definite), so a model that exists
+is admissible. validate() checks the standing assumptions on the pair
+(observability of (A, C), controllability of (A, Q^{1/2})).
+observability_index is the smallest i for which the stacked map
+[C; CA; ...; C A^{i-1}] (_obs_stack) has full column rank.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .errors import (
 
 __all__ = [
     "SystemModel",
-    "ValidationReport",
     "ModelAssumptionWarning",
     "validate",
     "observability_index",
@@ -41,16 +41,31 @@ class ModelAssumptionWarning(UserWarning):
     """Soft assumption violations (e.g. stable modes in A)."""
 
 
-def _sym_check(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
-    if np.linalg.norm(m - m.T) > tol * (1.0 + np.linalg.norm(m)):
+def _covariance(m, name: str, size: int, error: type,
+                definite: bool = False) -> np.ndarray:
+    """m as a size x size covariance: the shape, then symmetry within
+    1e-10 relative, then lambda_min >= -1e-10 (1 + |lambda_max|), or
+    lambda_min > 0 when definite; `error` is raised on the last check.
+    Returns the symmetrized copy."""
+    a = linalg._as_matrix(m, name)
+    if a.shape != (size, size):
+        raise ValueError(f"{name} must be {size}x{size}, got {a.shape}")
+    if np.linalg.norm(a - a.T) > 1e-10 * (1.0 + np.linalg.norm(a)):
         raise ValueError(f"{name} must be symmetric")
-    return (m + m.T) / 2.0
+    a = (a + a.T) / 2.0
+    w = np.linalg.eigvalsh(a)
+    if definite and not w[0] > 0.0:
+        raise error(f"{name} has eigenvalue {w[0]:.3e} <= 0")
+    if not definite and w[0] < -1e-10 * (1.0 + abs(w[-1])):
+        raise error(f"{name} has eigenvalue {w[0]:.3e} < 0")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
-    """Immutable plant data. Construction checks shapes and finiteness;
-    the statistical assumptions are checked by validate()."""
+    """Immutable plant data. Construction checks shapes, finiteness and
+    the covariances (Q, Sigma0 PSD; R positive definite); validate()
+    checks observability and controllability."""
 
     A: np.ndarray
     C: np.ndarray
@@ -66,16 +81,10 @@ class SystemModel:
         C = linalg._as_matrix(self.C, "C")
         if C.shape[1] != n:
             raise ValueError(f"C must have {n} columns, got {C.shape}")
-        m = C.shape[0]
-        Q = _sym_check(linalg._as_matrix(self.Q, "Q"), "Q")
-        if Q.shape != (n, n):
-            raise ValueError(f"Q must be {n}x{n}, got {Q.shape}")
-        R = _sym_check(linalg._as_matrix(self.R, "R"), "R")
-        if R.shape != (m, m):
-            raise ValueError(f"R must be {m}x{m}, got {R.shape}")
-        S0 = _sym_check(linalg._as_matrix(self.Sigma0, "Sigma0"), "Sigma0")
-        if S0.shape != (n, n):
-            raise ValueError(f"Sigma0 must be {n}x{n}, got {S0.shape}")
+        Q = _covariance(self.Q, "Q", n, QNotPSD)
+        R = _covariance(self.R, "R", C.shape[0], RNotPositiveDefinite,
+                        definite=True)
+        S0 = _covariance(self.Sigma0, "Sigma0", n, CovarianceNotPSD)
         for name, val in (("A", A), ("C", C), ("Q", Q), ("R", R), ("Sigma0", S0)):
             object.__setattr__(self, name, val)
             val.setflags(write=False)
@@ -87,17 +96,6 @@ class SystemModel:
     @property
     def m(self) -> int:
         return self.C.shape[0]
-
-
-@dataclass
-class ValidationReport:
-    checks: dict = field(default_factory=dict)
-    observability_index: int | None = None
-    warnings: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(self.checks.values())
 
 
 def _rank(m: np.ndarray) -> int:
@@ -129,50 +127,25 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def validate(sys: SystemModel) -> ValidationReport:
-    """Check the standing assumptions; raise on hard violations.
+def validate(sys: SystemModel) -> None:
+    """Check the standing assumptions on the pair; raise on violations.
 
-    Hard: Q PSD, R PD, Sigma0 PSD, (A, C) observable, (A, Q^{1/2})
-    controllable. Soft (warning only): all |eig(A)| >= 1.
+    Hard: (A, C) observable, (A, Q^{1/2}) controllable. Soft (warning
+    only): all |eig(A)| >= 1. The covariances were checked when sys was
+    built.
     """
-    rep = ValidationReport()
-
-    wq = np.linalg.eigvalsh(sys.Q)
-    rep.checks["Q_psd"] = bool(wq[0] >= -1e-10 * (1.0 + abs(wq[-1])))
-    if not rep.checks["Q_psd"]:
-        raise QNotPSD(f"Q has eigenvalue {wq[0]:.3e} < 0")
-
-    wr = np.linalg.eigvalsh(sys.R)
-    rep.checks["R_pd"] = bool(wr[0] > 0.0)
-    if not rep.checks["R_pd"]:
-        raise RNotPositiveDefinite(f"R has eigenvalue {wr[0]:.3e} <= 0")
-
-    ws = np.linalg.eigvalsh(sys.Sigma0)
-    rep.checks["Sigma0_psd"] = bool(ws[0] >= -1e-10 * (1.0 + abs(ws[-1])))
-    if not rep.checks["Sigma0_psd"]:
-        raise CovarianceNotPSD(f"Sigma0 has eigenvalue {ws[0]:.3e} < 0")
-
-    rep.observability_index = observability_index(sys)  # raises Unobservable
-    rep.checks["observable"] = True
-
+    observability_index(sys)  # raises Unobservable
     qr = _psd_sqrt(sys.Q)
     ctrl = np.hstack(
         [np.linalg.matrix_power(sys.A, k) @ qr for k in range(sys.n)]
     )
-    rep.checks["controllable"] = bool(_rank(ctrl) == sys.n)
-    if not rep.checks["controllable"]:
+    if _rank(ctrl) != sys.n:
         raise Uncontrollable(
             f"controllability stack of (A, Q^(1/2)) has rank {_rank(ctrl)} < {sys.n}"
         )
-
     eigs = np.abs(np.linalg.eigvals(sys.A))
-    rep.checks["eig_magnitudes_ge_1"] = bool(np.all(eigs >= 1.0 - 1e-12))
-    if not rep.checks["eig_magnitudes_ge_1"]:
-        msg = (
+    if not np.all(eigs >= 1.0 - 1e-12):
+        warnings.warn(
             "A has eigenvalue magnitudes below 1 "
-            f"(min {eigs.min():.6g}); stability verdicts remain sufficient"
-        )
-        rep.warnings.append(msg)
-        warnings.warn(msg, ModelAssumptionWarning, stacklevel=2)
-
-    return rep
+            f"(min {eigs.min():.6g}); stability verdicts remain sufficient",
+            ModelAssumptionWarning, stacklevel=2)

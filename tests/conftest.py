@@ -7,6 +7,9 @@ seen. The 3x3 Jordan plant has observability index 3 and exercises the
 depth-2 gain blocks and idle-step weights.
 
 `receptions` composes the reception update measurement_update k times.
+`fixed_gain_update` is the depth-i update under an arbitrary fixed gain,
+the upper bound the gain condition rests on: it dominates `receptions`
+for every gain, with equality at the optimal one.
 `dense_operator` and `sym_restriction` are the oracle for the package's
 gain operator: the full s*n^2 Kronecker assembly on all n x n blocks,
 and its restriction to symmetric blocks in upper-triangle coordinates.
@@ -17,8 +20,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peakcov import (LossModel, SystemModel, Unobservable, measurement_update,
-                     observability_index)
+from peakcov import (DimensionMismatch, LossModel, SystemModel, Unobservable,
+                     measurement_update, observability_index)
+from peakcov.linalg import _as_matrix
 from peakcov.system import _obs_stack
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "demos" / "problems"
@@ -98,6 +102,46 @@ def receptions():
         return X
 
     return run
+
+
+@pytest.fixture(scope="session")
+def fixed_gain_update():
+    """Depth-i covariance update with an arbitrary fixed gain.
+
+    gain = [K_0, ..., K_{i-1}] is n x (i*m), K_t acting on the t-th of i
+    outputs. Returns F X F' + sum_u (G_u Q G_u' + K_u R K_u') with
+    F = A^i + gain @ [C; CA; ...; C A^{i-1}] and
+    G_u = A^{i-1-u} + sum_{t>u} K_t C A^{t-1-u}, the path of process noise
+    w_u into the error. For every gain this dominates the i-fold
+    measurement_update (in the PSD order), with equality at the optimal
+    gain.
+    """
+
+    def update(sysm, i, gain, X):
+        if i < 1:
+            raise ValueError("depth must be >= 1")
+        K = _as_matrix(gain, "gain")
+        X = np.asarray(X, dtype=float)
+        n, m = sysm.n, sysm.m
+        if K.shape != (n, i * m):
+            raise DimensionMismatch(
+                f"gain must be {n}x{i * m} at depth {i}, got {K.shape}")
+        if X.shape != (n, n):
+            raise DimensionMismatch(f"X must be {n}x{n}, got {X.shape}")
+        Ap = [np.eye(n)]
+        for _ in range(i):
+            Ap.append(Ap[-1] @ sysm.A)
+        Kt = [K[:, t * m:(t + 1) * m] for t in range(i)]
+        F = Ap[i] + K @ _obs_stack(sysm.A, sysm.C, i)
+        out = F @ X @ F.T
+        for u in range(i):
+            G = Ap[i - 1 - u].copy()
+            for t in range(u + 1, i):
+                G += Kt[t] @ sysm.C @ Ap[t - 1 - u]
+            out += G @ sysm.Q @ G.T + Kt[u] @ sysm.R @ Kt[u].T
+        return (out + out.T) / 2.0
+
+    return update
 
 
 @pytest.fixture(scope="session")

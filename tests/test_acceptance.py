@@ -21,7 +21,6 @@ from peakcov import (
     build_certificate,
     closed_form_gains,
     enumerate_first_peak,
-    fixed_gain_update,
     gain_condition_matrix,
     growth_trend,
     mc_estimate,
@@ -163,7 +162,7 @@ def test_criterion_06_certificate_round_trip(sweep):
         if rec.rho_h >= 1:
             continue
         cert = build_certificate(rec.sysm, rec.loss, rec.gains)
-        floor = strict_margin_floor(cert.blocks, 1e-9)
+        floor = strict_margin_floor(cert.blocks)
         assert cert.margin > floor
         worst = min(worst, cert.margin)
         tampered = [b.copy() for b in cert.blocks]
@@ -177,7 +176,8 @@ def test_criterion_06_certificate_round_trip(sweep):
              f"all tampered copies rejected")
 
 
-def test_criterion_07_gain_update_dominates(plant, receptions):
+def test_criterion_07_gain_update_dominates(plant, receptions,
+                                            fixed_gain_update):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     for _ in range(200):

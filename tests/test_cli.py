@@ -63,8 +63,7 @@ def test_analyze_gain_but_not_norm(problems_dir):
 
 
 def test_analyze_unstable_problem(problems_dir):
-    code, rep = _report("analyze", str(problems_dir / "resonant_rotation.json"),
-                        "--no-refine")
+    code, rep = _report("analyze", str(problems_dir / "resonant_rotation.json"))
     assert code == 1
     assert rep["verdict"] == "not-proven"
     # every gain set hits the same radius floor on this plant
@@ -194,22 +193,26 @@ def test_simulate_csv_repeatable(tmp_path, problems_dir):
     assert int(first["count"]) == 40
 
 
-@pytest.mark.parametrize("argv", [
-    ("simulate", "stable_burst2", "--runs", "0"),
-    ("simulate", "stable_burst2", "--horizon", "-3"),
-    ("analyze", "resonant_rotation", "--tol", "-5"),
-    ("simulate", "stable_burst2", "--seed", "-1"),
+@pytest.mark.parametrize("argv, flag", [
+    (("simulate", "stable_burst2", "--runs", "0"), "--runs"),
+    (("simulate", "stable_burst2", "--horizon", "-3"), "--horizon"),
+    (("simulate", "stable_burst2", "--seed", "-1"), "--seed"),
     # run i is keyed seed + i, so run 1 would need the 129-bit key 2**128
-    ("simulate", "stable_burst2", "--seed", str(2**128 - 1), "--runs", "2"),
-], ids=["runs-0", "horizon-negative", "tol-negative", "seed-negative",
-        "seed-key-overflow"])
-def test_out_of_range_flags_exit_two(problems_dir, argv):
+    (("simulate", "stable_burst2", "--seed", str(2**128 - 1), "--runs", "2"),
+     "--seed"),
+    # the verdict takes no options; parser errors take main's one line too
+    (("analyze", "resonant_rotation", "--tol", "1e-3"), "--tol"),
+    (("analyze", "resonant_rotation", "--no-refine"), "--no-refine"),
+    (("transform", "stable_burst2"), "--S"),
+], ids=["runs-0", "horizon-negative", "seed-negative", "seed-key-overflow",
+        "tol-removed", "no-refine-removed", "transform-without-S"])
+def test_out_of_range_flags_exit_two(problems_dir, argv, flag):
     cmd, problem, *flags = argv
     code, out, err = _run(cmd, str(problems_dir / f"{problem}.json"), *flags)
     assert code == 2
     assert out == ""
     assert err.startswith("peakcov: error:") and err.count("\n") == 1
-    assert flags[0] in err
+    assert flag in err
 
 
 def test_simulate_shows_divergence(problems_dir):
@@ -376,8 +379,7 @@ def test_compare_exit_codes(problems_dir):
     assert code == 0
     assert "norm condition implies" in rep["note"]
     code, rep = _report("compare",
-                        str(problems_dir / "resonant_rotation.json"),
-                        "--no-refine")
+                        str(problems_dir / "resonant_rotation.json"))
     assert code == 1
 
 
@@ -402,7 +404,7 @@ def test_import_loads_no_scipy():
 
 
 def test_package_line_ceiling_and_exports():
-    # the package must not grow past 1715 lines (ROADMAP aim 2), and every
+    # the package must not grow past 1615 lines (ROADMAP aim 2), and every
     # exported name must resolve
     src = os.path.dirname(os.path.abspath(peakcov.__file__))
     lines = 0
@@ -410,5 +412,5 @@ def test_package_line_ceiling_and_exports():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 lines += sum(1 for _ in f)
-    assert lines <= 1715
+    assert lines <= 1615
     assert [n for n in peakcov.__all__ if not hasattr(peakcov, n)] == []

@@ -8,13 +8,11 @@ import scipy.optimize
 from peakcov import (
     DimensionMismatch,
     SystemModel,
-    fixed_gain_update,
     measurement_update,
     optimal_gain,
     time_update,
 )
 from peakcov.linalg import sym_spectral_norm
-from peakcov.riccati import check_cov
 
 
 # reception updates from Q to the Riccati fixed point P*: the error
@@ -78,7 +76,7 @@ def test_measurement_below_time_update(plant):
         assert np.linalg.eigvalsh(diff)[0] >= -1e-10 * (1 + np.linalg.norm(x))
 
 
-def test_fixed_gain_meets_update_at_optimum(plant):
+def test_fixed_gain_meets_update_at_optimum(plant, fixed_gain_update):
     rng = np.random.default_rng(43)
     for _ in range(20):
         x = _rand_psd(rng, 2)
@@ -88,7 +86,7 @@ def test_fixed_gain_meets_update_at_optimum(plant):
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * (1 + np.linalg.norm(rhs))
 
 
-def test_fixed_gain_dominates_update(plant, receptions):
+def test_fixed_gain_dominates_update(plant, receptions, fixed_gain_update):
     rng = np.random.default_rng(44)
     for _ in range(30):
         x = _rand_psd(rng, 2)
@@ -98,14 +96,14 @@ def test_fixed_gain_dominates_update(plant, receptions):
         assert np.linalg.eigvalsh(diff)[0] >= -1e-8 * (1 + np.linalg.norm(x))
 
 
-def test_fixed_gain_zero_case(plant):
+def test_fixed_gain_zero_case(plant, fixed_gain_update):
     np.testing.assert_array_equal(
         fixed_gain_update(plant, 1, np.zeros((2, 1)), np.zeros((2, 2))),
         plant.Q,
     )
 
 
-def test_fixed_gain_validation(plant):
+def test_fixed_gain_validation(plant, fixed_gain_update):
     x = np.eye(2)
     with pytest.raises(DimensionMismatch):
         fixed_gain_update(plant, 2, np.zeros((2, 1)), x)
@@ -115,7 +113,8 @@ def test_fixed_gain_validation(plant):
         fixed_gain_update(plant, 0, np.zeros((2, 1)), x)
 
 
-def test_two_step_fixed_gain_minimum_is_double_update(plant, receptions):
+def test_two_step_fixed_gain_minimum_is_double_update(plant, receptions,
+                                                     fixed_gain_update):
     # minimizing the trace of the depth-2 fixed-gain update over the
     # free 2x2 gain must land on the twice-applied reception update
     x = np.eye(2)
@@ -175,14 +174,3 @@ def test_update_saturates_for_large_starts(plant, receptions):
     assert max(norms) < 200.0
     small = np.linalg.norm(receptions(plant, np.eye(2), 3))
     assert small < min(norms)
-
-
-def test_check_cov_contract():
-    with pytest.raises(ValueError):
-        check_cov([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        check_cov([[-1.0, 0.0], [0.0, 1.0]])
-    # negative dust is clamped
-    dust = np.array([[1.0, 0.0], [0.0, -1e-12]])
-    out = check_cov(dust)
-    assert np.linalg.eigvalsh(out)[0] >= 0.0

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from peakcov import (
+    CovarianceNotPSD,
     LossModel,
     SystemModel,
     enumerate_first_peak,
@@ -231,12 +232,12 @@ def test_enumeration_two_term_degenerate_chain(plant):
     assert enu.max_span == 2
 
 
-def test_enumeration_validation(plant, chain_burst2):
-    # the prior covariance Sigma0 must be PSD
-    bad = SystemModel(A=plant.A, C=plant.C, Q=plant.Q, R=plant.R,
-                      Sigma0=[[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(ValueError):
-        enumerate_first_peak(bad, chain_burst2)
+def test_enumeration_validation(plant):
+    # a non-PSD prior covariance Sigma0 cannot be built, so neither the
+    # enumeration nor the simulator can be handed one
+    with pytest.raises(CovarianceNotPSD):
+        SystemModel(A=plant.A, C=plant.C, Q=plant.Q, R=plant.R,
+                    Sigma0=[[1.0, 0.0], [0.0, -1.0]])
 
 
 def test_burst_length_histogram(chain_burst2, reference_gaps):

@@ -1,4 +1,7 @@
-"""Plant validation, observability index, the stacked observation map."""
+"""Plant admissibility and validation, observability index, the stacked
+observation map."""
+
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from peakcov import (
     SystemModel,
     Uncontrollable,
     Unobservable,
-    fixed_gain_update,
     observability_index,
     validate,
 )
@@ -29,14 +31,10 @@ def _sys(A, C, Q=None, R=None, Sigma0=None):
     )
 
 
-def test_validate_workhorse_passes(plant):
-    rep = validate(plant)
-    assert rep.ok
-    assert rep.observability_index == 2
-    assert rep.checks == {
-        "Q_psd": True, "R_pd": True, "Sigma0_psd": True,
-        "observable": True, "controllable": True, "eig_magnitudes_ge_1": True,
-    }
+def test_validate_workhorse_passes(plant, recwarn):
+    assert validate(plant) is None
+    assert not recwarn.list  # no stable mode to warn about
+    assert observability_index(plant) == 2
 
 
 def test_validate_unobservable():
@@ -45,21 +43,33 @@ def test_validate_unobservable():
         validate(_sys([[1.3, 0.0], [0.0, 1.2]], [[1.0, 0.0]]))
 
 
+# a plant with an inadmissible covariance cannot be built: SystemModel
+# refuses it, so no library function meets it
+
+
 def test_validate_r_not_positive_definite():
-    with pytest.raises(RNotPositiveDefinite):
-        validate(_sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], R=[[0.0]]))
+    with pytest.raises(RNotPositiveDefinite,
+                       match=r"^R has eigenvalue 0\.000e\+00 <= 0$"):
+        _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], R=[[0.0]])
 
 
 def test_validate_q_not_psd():
-    with pytest.raises(QNotPSD):
-        validate(_sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]],
-                      Q=[[-1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(QNotPSD, match=r"^Q has eigenvalue -1\.000e\+00 < 0$"):
+        _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]],
+             Q=[[-1.0, 0.0], [0.0, 1.0]])
 
 
 def test_validate_sigma0_not_psd():
-    with pytest.raises(CovarianceNotPSD):
-        validate(_sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]],
-                      Sigma0=[[-0.5, 0.0], [0.0, 1.0]]))
+    for Sigma0, lam in (
+        ([[-0.5, 0.0], [0.0, 1.0]], "-5.000e-01"),
+        # 2.5x past the -1e-10 (1 + |lambda_max|) tolerance: refused,
+        # not clamped, so neither mc_estimate nor enumerate_first_peak
+        # can start from it
+        ([[1.0, 0.0], [0.0, -5e-10]], "-5.000e-10"),
+    ):
+        with pytest.raises(CovarianceNotPSD,
+                           match=f"^Sigma0 has eigenvalue {re.escape(lam)} < 0$"):
+            _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], Sigma0=Sigma0)
 
 
 def test_validate_uncontrollable():
@@ -71,19 +81,19 @@ def test_validate_uncontrollable():
 
 def test_validate_warns_on_stable_mode():
     sysm = _sys([[1.3, 0.0], [0.0, 0.5]], [[1.0, 1.0]])
-    with pytest.warns(ModelAssumptionWarning):
-        rep = validate(sysm)
-    assert not rep.ok
-    assert rep.checks["eig_magnitudes_ge_1"] is False
-    assert rep.warnings
+    with pytest.warns(ModelAssumptionWarning, match="min 0.5"):
+        validate(sysm)
 
 
 def test_construction_shape_errors():
     with pytest.raises(ValueError):
         SystemModel(A=[[1.0, 0.0]], C=[[1.0, 0.0]], Q=np.eye(2), R=[[1.0]],
                     Sigma0=np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Q must be symmetric"):
         _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], Q=[[0.0, 1.0], [0.0, 0.0]])
+    # the shape is checked before the symmetry
+    with pytest.raises(ValueError, match=r"^Q must be 2x2, got \(2, 3\)$"):
+        _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], Q=np.ones((2, 3)))
 
 
 def test_fields_are_read_only(plant):
@@ -125,7 +135,7 @@ def test_stacked_rank_saturates_at_index(plant, jordan_plant):
             assert ranks[io - 2] < sysm.n
 
 
-def test_joint_cov_psd_random_systems():
+def test_joint_cov_psd_random_systems(fixed_gain_update):
     # at X = 0 the fixed-gain update is the joint covariance of the i
     # process and measurement noises seen through the gain: PSD for any K
     rng = np.random.default_rng(22)
