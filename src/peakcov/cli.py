@@ -17,7 +17,9 @@ margin must exceed stability.strict_margin_floor.
 Exit codes: 0 stability proven, 1 not proven or a numerical failure of
 the analysis, 2 input error, a bad command line included, reported in
 one line. simulate exits 0 on completion; a simulation cannot prove
-stability and its report says so.
+stability and its report says so. A warning about the plant (a stable
+mode) prints as one "peakcov: warning:" line on stderr and changes
+neither the report nor the exit code.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import csv
 import json
 import sys as _sys
+import warnings
 
 import numpy as np
 
@@ -45,7 +48,11 @@ EXIT_INPUT_ERROR = 2
 def _load(args):
     """The validated problem of args and the header of its report."""
     sysm, loss, label = load_problem(args.problem)
-    validate(sysm)
+    # each warning in one line; the active filters (-W) still apply
+    with warnings.catch_warnings(record=True) as caught:
+        validate(sysm)
+    for w in caught:
+        print(f"peakcov: warning: {w.message}", file=_sys.stderr)
     return sysm, loss, {
         "tool": "peakcov",
         "version": __version__,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import numpy as np
 
@@ -47,6 +48,12 @@ def _as_array(obj, field: str, where: str) -> np.ndarray:
                 raise ProblemFormatError(
                     f"{where}: field '{field}' entry [{i}][{j}] is not a number"
                 )
+            # JSON admits NaN, Infinity, 1e400 (read as inf) and integers
+            # past the double range, which float() refuses; NaN fails the
+            # comparison too
+            if not (abs(v) <= sys.float_info.max):
+                raise ProblemFormatError(f"{where}: field '{field}' entry "
+                                         f"[{i}][{j}] is not a finite number")
             out[i, j] = float(v)
     return out
 

@@ -7,7 +7,9 @@ runs together with the reception map on arrival slots and the
 open-loop map on loss slots. Post-burst instants are receptions whose
 preceding slot was a loss; the covariance entering such an instant is
 a local maximum of the stream (it only shrinks on receptions), and its
-norm sequence is the quantity whose boundedness is being tested.
+norm sequence is the quantity whose boundedness is being tested. The
+norms go into one (peak index, run) table, so each index's statistics
+read one row of it in run order.
 
 enumerate_first_peak integrates the first post-burst covariance exactly
 over all arrival prefixes (leading run of zero-gaps, then the first
@@ -73,22 +75,6 @@ class TrendStat:
     burn: int
 
 
-def _post_bursts(sys: SystemModel, arr: np.ndarray):
-    """Propagate one covariance per column of the slot-major arrival bits
-    `arr` as one (runs, n, n) stack from Sigma0: each slot computes both
-    updates and keeps the one each run's bit selects. Yields (runs, P) at
-    each slot with post-burst receptions: the runs receiving there after
-    a loss and their covariances entering the slot. A reception in the
-    first slot is never post-burst (there is no preceding slot)."""
-    P = np.repeat(sys.Sigma0[None], arr.shape[1], axis=0)
-    for k, bits in enumerate(arr):
-        Pn = measurement_update(sys, P)
-        hit = np.flatnonzero(bits & ~arr[k - 1]) if k else []
-        if len(hit):
-            yield hit, P[hit]
-        P = np.where(bits[:, None, None], Pn, time_update(sys, P))
-
-
 def mc_estimate(
     sys: SystemModel,
     loss: LossModel,
@@ -106,29 +92,29 @@ def mc_estimate(
     if runs < 1 or horizon < 1:
         raise ValueError("runs and horizon must be >= 1")
     arr = _sample_arrivals(loss, horizon, range(base_seed, base_seed + runs))
-    per_run = (arr[1:] & ~arr[:-1]).sum(axis=0)
-    ends = np.cumsum(per_run)
-    flat = np.empty(int(ends[-1]))
-    fill = ends - per_run  # next free slot of each run in `flat`
-    for hit, P in _post_bursts(sys, arr):
-        flat[fill[hit]] = linalg.sym_spectral_norm(P)
-        fill[hit] += 1
-    # peak index of each norm; a stable sort keeps run order within one
-    idx = np.arange(flat.size) - np.repeat(ends - per_run, per_run)
-    counts = np.bincount(idx).astype(np.int64)
-    ordered = flat[np.argsort(idx, kind="stable")]
-    groups = np.split(ordered, np.cumsum(counts)[:-1]) if flat.size else []
-    means = np.array([g.mean() for g in groups])
-    stderrs = np.array([g.std(ddof=1) / np.sqrt(g.size) if g.size > 1
-                        else np.nan for g in groups])
+    # receptions after a loss; a reception in the first slot has no
+    # preceding slot and is never post-burst
+    post = np.vstack([np.zeros_like(arr[:1]), arr[1:] & ~arr[:-1]])
+    peaks = np.empty((post.sum(axis=0).max(), runs))  # peak j of run r
+    count = np.zeros(runs, dtype=np.int64)
+    P = np.repeat(sys.Sigma0[None], runs, axis=0)
+    for bits, after_loss in zip(arr, post):
+        hit = np.flatnonzero(after_loss)
+        if hit.size:
+            peaks[count[hit], hit] = linalg.sym_spectral_norm(P[hit])
+            count[hit] += 1
+        P = np.where(bits[:, None, None], measurement_update(sys, P),
+                     time_update(sys, P))
+    rows = [peaks[j, count > j] for j in range(len(peaks))]  # in run order
     return McEstimate(
         runs=runs,
         horizon=horizon,
         base_seed=base_seed,
-        means=means,
-        stderrs=stderrs,
-        counts=counts,
-        peak_norms_by_run=np.split(flat, ends[:-1]),
+        means=np.array([r.mean() for r in rows]),
+        stderrs=np.array([r.std(ddof=1) / np.sqrt(r.size) if r.size > 1
+                          else np.nan for r in rows]),
+        counts=np.array([r.size for r in rows], dtype=np.int64),
+        peak_norms_by_run=[peaks[:c, r] for r, c in enumerate(count)],
     )
 
 
@@ -144,46 +130,31 @@ def enumerate_first_peak(sys: SystemModel, loss: LossModel) -> FirstPeakEnumerat
     Returns both the mean matrix and the mean of the norm; stability is
     about the latter, and the two differ (norm is convex).
     """
-    s = loss.s
-    pi = loss.pi_stat
-    P0 = loss.Pi[0, :]
-    p00 = float(P0[0])
-
     mean_mat = np.zeros_like(sys.Sigma0)
-    mean_norm = 0.0
-    covered = 0.0
-
-    def add_bursts(base: np.ndarray, weight_of_b) -> None:
-        nonlocal mean_mat, mean_norm, covered
-        X = base
-        for b in range(1, s + 1):
+    mean_norm = covered = 0.0
+    # a = 1: the first gap is the burst, with weight pi_stat[b]; lead is
+    # the mass of prefixes with at least a leading receptions
+    a, lead = 1, float(loss.pi_stat[0])
+    G, weights = sys.Sigma0, loss.pi_stat[1:]
+    while True:
+        X = G
+        for w in weights.tolist():  # burst lengths b = 1..s
             X = time_update(sys, X)
-            w = weight_of_b(b)
-            if w == 0.0:
-                continue
-            mean_mat = mean_mat + w * X
-            mean_norm += w * linalg.sym_spectral_norm(X)
-            covered += w
-
-    # first gap itself is the burst
-    add_bursts(sys.Sigma0, lambda b: float(pi[b]))
-
-    a = 1
-    lead_mass = float(pi[0])  # mass of prefixes with >= a-1 leading zero gaps
-    if lead_mass > 0.0:
-        gX = sys.Sigma0
-        while lead_mass >= _TRUNC_EPS and a < _MAX_LEAD:
-            a += 1
-            gX = measurement_update(sys, gX)
-            w_lead = lead_mass
-            add_bursts(gX, lambda b: w_lead * float(P0[b]))
-            lead_mass *= p00
-    tail = lead_mass
+            if w != 0.0:
+                mean_mat = mean_mat + w * X
+                mean_norm += w * linalg.sym_spectral_norm(X)
+                covered += w
+        if lead < _TRUNC_EPS or a >= _MAX_LEAD:
+            break
+        a += 1
+        G = measurement_update(sys, G)
+        weights = lead * loss.Pi[0, 1:]
+        lead *= float(loss.Pi[0, 0])
     return FirstPeakEnumeration(
         mean_matrix=mean_mat,
         mean_norm=mean_norm,
         covered_mass=covered,
-        tail_mass=tail,
+        tail_mass=lead,
         max_span=a,
     )
 
@@ -199,10 +170,13 @@ def growth_trend(
 
     Fits log(mean_r peak[r, j]) against j by least squares over indices
     burn..J-1, where J is capped by max_index and by the shortest run.
-    The slope's standard error comes from a bootstrap over runs, which
-    is robust to the serial correlation along j that a residual-based
-    error estimate ignores. z = slope / stderr; large positive z is
-    evidence the mean grows without bound.
+    The abscissae j are fixed, so the slope is the linear functional
+    log(m) @ c with c = (j - mean j) / sum (j - mean j)^2, formed once.
+    The slope's standard error comes from a bootstrap over runs (one
+    draw of run indices per resample), which is robust to the serial
+    correlation along j that a residual-based error estimate ignores.
+    z = slope / stderr; large positive z is evidence the mean grows
+    without bound.
     """
     per_run = [np.asarray(p, dtype=float) for p in peak_lists]
     if not per_run:
@@ -212,19 +186,14 @@ def growth_trend(
         depth = min(depth, max_index)
     if depth - burn < 3:
         raise ValueError("need at least 3 usable peak indices after burn-in")
-    Y = np.stack([p[:depth] for p in per_run])  # runs x indices
+    Y = np.stack([p[burn:depth] for p in per_run])  # runs x indices
     j = np.arange(burn, depth, dtype=float)
-
-    def slope_of(sample: np.ndarray) -> float:
-        m = sample.mean(axis=0)[burn:depth]
-        return float(np.polyfit(j, np.log(m), 1)[0])
-
-    slope = slope_of(Y)
+    c = (j - j.mean()) / ((j - j.mean()) ** 2).sum()
+    slope = float(np.log(Y.mean(axis=0)) @ c)
     rng = np.random.Generator(np.random.Philox(key=seed))
     n = Y.shape[0]
-    bs = np.empty(boots)
-    for t in range(boots):
-        bs[t] = slope_of(Y[rng.integers(0, n, size=n)])
+    bs = np.array([np.log(Y[rng.integers(0, n, size=n)].mean(axis=0)) @ c
+                   for _ in range(boots)])
     stderr = float(bs.std(ddof=1))
     z = slope / stderr if stderr > 0 else np.inf * np.sign(slope)
     return TrendStat(

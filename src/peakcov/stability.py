@@ -378,7 +378,8 @@ def similarity_transform(
     S^-1 Sigma0 S^-T) and the gain set with every block premultiplied by
     S^-1. The gain-condition spectrum is invariant under this map; the
     norm condition is not. Raises Singular when the smallest singular
-    value of S is at most 1e-12 times the largest.
+    value of S is at most 1e-12 times the largest, or when S^-1 is so
+    large that the transformed model overflows.
     """
     Sm = linalg._as_matrix(S, "S")
     if Sm.shape != (sys.n, sys.n):
@@ -387,13 +388,19 @@ def similarity_transform(
     if sv[-1] <= 1e-12 * sv[0]:
         raise Singular(f"smallest singular value {sv[-1]:.3e} is at most "
                        f"1e-12 times the largest ({sv[0]:.3e})")
-    Si = np.linalg.solve(Sm, np.eye(sys.n))
-    A2 = Si @ sys.A @ Sm
-    C2 = sys.C @ Sm
-    Q2 = Si @ sys.Q @ Si.T
-    S02 = Si @ sys.Sigma0 @ Si.T
-    sys2 = SystemModel(A=A2, C=C2, Q=(Q2 + Q2.T) / 2.0, R=sys.R.copy(),
-                       Sigma0=(S02 + S02.T) / 2.0)
+    # a tiny S overflows S^-1 and the model, which SystemModel refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        Si = np.linalg.solve(Sm, np.eye(sys.n))
+        A2 = Si @ sys.A @ Sm
+        C2 = sys.C @ Sm
+        Q2 = Si @ sys.Q @ Si.T
+        S02 = Si @ sys.Sigma0 @ Si.T
+    try:
+        sys2 = SystemModel(A=A2, C=C2, Q=(Q2 + Q2.T) / 2.0, R=sys.R.copy(),
+                           Sigma0=(S02 + S02.T) / 2.0)
+    except ValueError as e:
+        raise Singular(f"S (smallest singular value {sv[-1]:.3e}) gives a "
+                       f"transformed model that is not finite: {e}") from e
     gains2 = [Si @ linalg._as_matrix(K, "gain") for K in gains]
     return sys2, gains2
 

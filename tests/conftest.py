@@ -15,11 +15,15 @@ gain operator: the full s*n^2 Kronecker assembly on all n x n blocks,
 and its restriction to symmetric blocks in upper-triangle coordinates.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import peakcov
 from peakcov import (DimensionMismatch, LossModel, SystemModel, Unobservable,
                      measurement_update, observability_index)
 from peakcov.linalg import _as_matrix
@@ -147,6 +151,21 @@ def fixed_gain_update():
 @pytest.fixture(scope="session")
 def problems_dir() -> Path:
     return PROBLEMS_DIR
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    """Runner of a fresh interpreter with the package's source on its
+    path, as a user runs peakcov or a demo: fresh(*args) gives (exit
+    code, stdout, stderr), with warnings and tracebacks unfiltered."""
+    env = dict(os.environ, PYTHONPATH=str(Path(peakcov.__file__).parents[1]))
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=env, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,14 @@
 """End-to-end CLI checks against the shipped problem files.
 
 Output is captured with redirect_stdout/redirect_stderr so the checks
-are independent of the pytest capture mode.
+are independent of the pytest capture mode. Checks of the stderr a user
+sees, warnings and tracebacks included, run a fresh interpreter.
 """
 
 import csv
 import io
 import json
 import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -163,6 +162,40 @@ def test_certificate_of_ill_conditioned_stable_plant(tmp_path):
     assert rep["rho_gain_condition"] < 1e-3
 
 
+def test_stable_mode_warning_one_line(tmp_path, fresh):
+    # the plant's stable modes leave the verdict sufficient: one warning
+    # line, the report and exit code as without it
+    path = _problem_file(tmp_path, **SHEAR)
+    code, out, err = fresh("-m", "peakcov.cli", "analyze", path)
+    assert code == 0 and json.loads(out)["verdict"] == "stable"
+    assert err == ("peakcov: warning: A has eigenvalue magnitudes below 1 "
+                   "(min 0.5); stability verdicts remain sufficient\n")
+
+
+@pytest.mark.parametrize("field, token", [
+    ("A", str(10**400)), ("Pi", str(10**400)), ("Pi", "NaN"),
+    ("S", "NaN"), ("S", "1e400"), ("S", str(10**400)),
+], ids=["A-int", "Pi-int", "Pi-nan", "S-nan", "S-1e400", "S-int"])
+def test_non_finite_entries_exit_two(tmp_path, problems_dir, fresh, field,
+                                     token):
+    problem = str(problems_dir / "stable_burst2.json")
+    if field == "S":
+        s_path = tmp_path / "S.json"
+        s_path.write_text(f'{{"S": [[{token}, 0.0], [0.0, 1.0]]}}')
+        argv = ("transform", problem, "--S", str(s_path))
+    else:
+        doc = json.loads((problems_dir / "stable_burst2.json").read_text())
+        doc[field][0][0] = "@"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"@"', token))
+        argv = ("analyze", str(path))
+    code, out, err = fresh("-m", "peakcov.cli", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("peakcov: error:") and err.count("\n") == 1
+    assert f"field '{field}' entry [0][0] is not a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_certificate_refuses_unstable(problems_dir):
     code, rep = _report("certificate",
                         str(problems_dir / "resonant_rotation.json"))
@@ -252,14 +285,19 @@ def test_transform_identity_is_noop(tmp_path, problems_dir):
     assert rep["gain_condition_drift"] <= 1e-12
 
 
+@pytest.mark.filterwarnings("error")  # an overflow warning is a second line
 def test_transform_singular_matrix(tmp_path, problems_dir):
+    # a singular S, and one too small for S^-1 Q S^-T to stay finite
     s_path = tmp_path / "sing.json"
-    s_path.write_text('{"S": [[1.0, 1.0], [1.0, 1.0]]}')
-    code, _, err = _run("transform", str(problems_dir / "stable_burst2.json"),
-                        "--S", str(s_path))
-    assert code == 2
-    assert err.startswith("peakcov: error:") and err.count("\n") == 1
-    assert "smallest singular value" in err
+    for text in ('{"S": [[1.0, 1.0], [1.0, 1.0]]}',
+                 '{"S": [[1e-300, 0.0], [0.0, 1e-300]]}'):
+        s_path.write_text(text)
+        code, _, err = _run("transform",
+                            str(problems_dir / "stable_burst2.json"),
+                            "--S", str(s_path))
+        assert code == 2
+        assert err.startswith("peakcov: error:") and err.count("\n") == 1
+        assert "smallest singular value" in err
 
 
 def test_numerical_failures_exit_one(monkeypatch, problems_dir):
@@ -391,20 +429,16 @@ def test_version_flag():
     assert out.getvalue().strip() == "peakcov 0.1.0"
 
 
-def test_import_loads_no_scipy():
+def test_import_loads_no_scipy(fresh):
     # a fresh interpreter, so modules other tests imported do not count
-    code = ("import sys, peakcov, peakcov.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(os.path.abspath(peakcov.__file__))))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout
-    assert out.strip() == "[]"
+    code, out, _ = fresh("-c", "import sys, peakcov, peakcov.cli; "
+                         "print(sorted(m for m in sys.modules "
+                         "if m == 'scipy' or m.startswith('scipy.')))")
+    assert code == 0 and out.strip() == "[]"
 
 
 def test_package_line_ceiling_and_exports():
-    # the package must not grow past 1615 lines (ROADMAP aim 2), and every
+    # the package must not grow past 1605 lines (ROADMAP aim 2), and every
     # exported name must resolve
     src = os.path.dirname(os.path.abspath(peakcov.__file__))
     lines = 0
@@ -412,5 +446,5 @@ def test_package_line_ceiling_and_exports():
         if name.endswith(".py"):
             with open(os.path.join(src, name), encoding="utf-8") as f:
                 lines += sum(1 for _ in f)
-    assert lines <= 1615
+    assert lines <= 1605
     assert [n for n in peakcov.__all__ if not hasattr(peakcov, n)] == []

@@ -20,6 +20,12 @@ GOOD = {
 }
 
 
+# JSON tokens that parse but are no finite double: NaN and Infinity,
+# 1e400 (read as inf) and integers past the double range
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+              str(10**400), str(-10**400))
+
+
 def _write(tmp_path, doc, name="prob.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc) if isinstance(doc, dict) else doc)
@@ -63,6 +69,15 @@ def test_entry_not_a_number(tmp_path):
     doc = dict(GOOD, R=[[True]])
     with pytest.raises(ProblemFormatError, match=r"entry \[0\]\[0\]"):
         load_problem(_write(tmp_path, doc))
+    # nor are entries past the double range, in the plant or the chain
+    for field in ("A", "Pi"):
+        rows = [list(row) for row in GOOD[field]]
+        rows[0][1] = "@"
+        text = json.dumps(dict(GOOD, **{field: rows}))
+        for token in NON_FINITE:
+            with pytest.raises(ProblemFormatError, match=(
+                    rf"field '{field}' entry \[0\]\[1\] is not a finite number")):
+                load_problem(_write(tmp_path, text.replace('"@"', token)))
 
 
 def test_ragged_and_empty_rows(tmp_path):
@@ -113,6 +128,11 @@ def test_load_matrix_file_forms(tmp_path):
         load_matrix_file(str(p))
     p.write_text("[1, 2, 3]")  # flat list reads as a single row
     assert load_matrix_file(str(p)).shape == (1, 3)
+    for token in NON_FINITE:
+        p.write_text(f'{{"S": [[1, 0], [0, {token}]]}}')
+        with pytest.raises(ProblemFormatError, match=(
+                r"field 'S' entry \[1\]\[1\] is not a finite number")):
+            load_matrix_file(str(p))
 
 
 def test_file_digest(tmp_path):

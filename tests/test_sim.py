@@ -264,6 +264,41 @@ def test_growth_trend_detects_planted_slope():
     assert tr.n_runs == 12
 
 
+def test_growth_trend_matches_polyfit(plant, chain_burst2, rotation_plant,
+                                     rotation_chain):
+    # The slope and the bootstrap stderr equal a per-sample np.polyfit
+    # with the same run draws, to rounding. The tolerance is relative to
+    # max|log m| / span(j), the largest slope the data can carry, so that
+    # near-zero slopes (the stable ensemble's) are covered too.
+    tol = 1e-12
+    rng = np.random.default_rng(61)
+    j = np.arange(40)
+    planted = [np.exp(0.3 * j) * rng.uniform(0.8, 1.25, size=40)
+               for _ in range(12)]
+    # criterion 10's two ensembles, with its burn-in and index cap
+    stable = mc_estimate(plant, chain_burst2, runs=24, horizon=10_000,
+                         base_seed=40_000).peak_norms_by_run
+    divergent = mc_estimate(rotation_plant, rotation_chain, runs=48,
+                            horizon=64, base_seed=90_000).peak_norms_by_run
+    for runs, burn, max_index in ((planted, 2, None), (stable, 50, None),
+                                  (divergent, 2, 22)):
+        tr = growth_trend(runs, burn=burn, max_index=max_index, boots=50,
+                          seed=3)
+        depth = burn + tr.n_indices
+        Y = np.stack([r[:depth] for r in runs])
+        idx = np.arange(burn, depth)
+
+        def fit(sample):
+            return np.polyfit(idx, np.log(sample.mean(axis=0)[burn:]), 1)[0]
+
+        draws = np.random.Generator(np.random.Philox(key=3))
+        boot = [fit(Y[draws.integers(0, len(Y), size=len(Y))])
+                for _ in range(50)]
+        scale = np.abs(np.log(Y.mean(axis=0)[burn:])).max() / (depth - 1 - burn)
+        assert abs(tr.slope - fit(Y)) <= tol * scale
+        assert abs(tr.stderr - np.std(boot, ddof=1)) <= tol * scale
+
+
 def test_growth_trend_validation():
     with pytest.raises(ValueError):
         growth_trend([])
