@@ -15,11 +15,11 @@ The verdict takes no options: the gain search always refines, and the
 margin must exceed stability.strict_margin_floor.
 
 Exit codes: 0 stability proven, 1 not proven or a numerical failure of
-the analysis, 2 input error, a bad command line included, reported in
-one line. simulate exits 0 on completion; a simulation cannot prove
-stability and its report says so. A warning about the plant (a stable
-mode) prints as one "peakcov: warning:" line on stderr and changes
-neither the report nor the exit code.
+the analysis (an overflow included), 2 input error, a bad command line
+included, reported in one line. simulate exits 0 on completion; a
+simulation cannot prove stability and its report says so. A warning
+about the plant (a stable mode) prints as one "peakcov: warning:" line
+on stderr and changes neither the report nor the exit code.
 """
 
 from __future__ import annotations
@@ -62,16 +62,10 @@ def _load(args):
     }
 
 
+@np.errstate(over="raise")  # an overflow is a numerical failure
 def cmd_analyze(args) -> int:
-    """analyze, compare, certificate and transform: one report and one
-    verdict.
-
-    Stable only when the gain condition holds and the certificate built
-    at the reported gains keeps a strict margin, both as built and as
-    re-verified from the report's serialized bytes. compare adds a note;
-    transform adds the conditions in the coordinates x -> S^-1 x, with the
-    gain condition at S^-1 K for the reported gains K.
-    """
+    """analyze, compare, certificate and transform (see above); transform
+    takes the conditions in the coordinates x -> S^-1 x, at gains S^-1 K."""
     sysm, loss, report = _load(args)
     if args.command == "transform":  # a singular S fails before the analysis
         S = load_matrix_file(args.S, "S")
@@ -208,7 +202,7 @@ def main(argv=None) -> int:
             raise PeakcovError(
                 f"--seed must lie in [0, 2**128 - runs], got {seed}")
         return args.func(args)
-    except (NoConvergence, np.linalg.LinAlgError) as e:
+    except (NoConvergence, np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"peakcov: error: numerical failure ({type(e).__name__}): {e}",
               file=_sys.stderr)
         return EXIT_NOT_PROVEN

@@ -1,15 +1,15 @@
 """Monte Carlo simulation of the loss-gated filter and exact
 enumeration of the first post-burst covariance.
 
-mc_estimate draws one arrival stream per run from the loss model,
-starts each one-step prediction covariance at Sigma0, and advances all
-runs together with the reception map on arrival slots and the
-open-loop map on loss slots. Post-burst instants are receptions whose
-preceding slot was a loss; the covariance entering such an instant is
-a local maximum of the stream (it only shrinks on receptions), and its
-norm sequence is the quantity whose boundedness is being tested. The
-norms go into one (peak index, run) table, so each index's statistics
-read one row of it in run order.
+mc_estimate draws one arrival stream per run from the loss model, starts
+each one-step prediction covariance at Sigma0, and advances all runs
+together by one Joseph step per slot: at the optimal gain on arrival
+slots, at gain 0 (the open-loop map) on loss slots. Post-burst instants
+are receptions whose preceding slot was a loss; the covariance entering
+such an instant is a local maximum of the stream (it only shrinks on
+receptions), and its norm sequence is the quantity whose boundedness is
+being tested. The norms go into one (peak index, run) table, so each
+index's statistics read one row of it in run order.
 
 enumerate_first_peak integrates the first post-burst covariance exactly
 over all arrival prefixes (leading run of zero-gaps, then the first
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .markov import LossModel, _sample_arrivals
-from .riccati import measurement_update, time_update
+from .riccati import gain_update, measurement_update, optimal_gain, time_update
 from .system import SystemModel
 
 __all__ = [
@@ -72,7 +72,6 @@ class TrendStat:
     z: float
     n_indices: int
     n_runs: int
-    burn: int
 
 
 def mc_estimate(
@@ -103,8 +102,8 @@ def mc_estimate(
         if hit.size:
             peaks[count[hit], hit] = linalg.sym_spectral_norm(P[hit])
             count[hit] += 1
-        P = np.where(bits[:, None, None], measurement_update(sys, P),
-                     time_update(sys, P))
+        K = np.where(bits[:, None, None], optimal_gain(sys, P), 0.0)
+        P = gain_update(sys, P, K)
     rows = [peaks[j, count > j] for j in range(len(peaks))]  # in run order
     return McEstimate(
         runs=runs,
@@ -161,7 +160,7 @@ def enumerate_first_peak(sys: SystemModel, loss: LossModel) -> FirstPeakEnumerat
 
 def growth_trend(
     peak_lists,
-    burn: int = 0,
+    burn: int,
     max_index: int | None = None,
     boots: int = 2000,
     seed: int = 0,
@@ -169,7 +168,8 @@ def growth_trend(
     """Trend of the across-run mean peak norm on a log scale.
 
     Fits log(mean_r peak[r, j]) against j by least squares over indices
-    burn..J-1, where J is capped by max_index and by the shortest run.
+    burn..J-1, where J is capped by max_index and by the shortest run;
+    burn has no default, as the ramp up from Sigma0 reads as growth.
     The abscissae j are fixed, so the slope is the linear functional
     log(m) @ c with c = (j - mean j) / sum (j - mean j)^2, formed once.
     The slope's standard error comes from a bootstrap over runs (one
@@ -202,5 +202,4 @@ def growth_trend(
         z=float(z),
         n_indices=int(depth - burn),
         n_runs=n,
-        burn=burn,
     )

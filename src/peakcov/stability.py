@@ -5,12 +5,8 @@ Two sufficient conditions are implemented for the loss-gated filter:
 * gain_condition_matrix builds the linear operator whose spectral radius
   below 1 certifies peak-covariance stability for a given gain set; it
   propagates expected covariance blocks indexed by the burst length,
-  with Kronecker-vectorized burst dynamics. Those blocks are symmetric,
-  so it acts on their upper triangles: side s*n(n+1)/2, not s*n^2, with
-  the same spectral radius (see _operator). _operator forms the plant
-  and chain constants once and returns the map from gains to this matrix
-  and the map from it to the next gains, so search_gains evaluates only
-  the gain part.
+  with Kronecker-vectorized burst dynamics, on the blocks' upper
+  triangles (see _operator).
 * norm_condition_matrix builds the coarser s x s matrix of norm bounds
   (d_l times transition masses, scaled by ||A^j||^2); its radius below 1
   is the coordinate-dependent condition it is compared against.

@@ -50,7 +50,9 @@ def _covariance(m, name: str, size: int, error: type,
     a = linalg._as_matrix(m, name)
     if a.shape != (size, size):
         raise ValueError(f"{name} must be {size}x{size}, got {a.shape}")
-    if np.linalg.norm(a - a.T) > 1e-10 * (1.0 + np.linalg.norm(a)):
+    c = max(1.0, np.abs(a).max())  # no norm of a / c can overflow
+    u = a / c
+    if np.linalg.norm(u - u.T) > 1e-10 * (1.0 / c + np.linalg.norm(u)):
         raise ValueError(f"{name} must be symmetric")
     a = (a + a.T) / 2.0
     w = np.linalg.eigvalsh(a)

@@ -300,6 +300,34 @@ def test_transform_singular_matrix(tmp_path, problems_dir):
         assert "smallest singular value" in err
 
 
+def test_tiny_transform_prints_no_overflow_warning(tmp_path, problems_dir,
+                                                   fresh):
+    # S^-1 Q S^-T has entries near 1e300, past where a norm of it
+    # overflows; the symmetry check of the transformed model must not warn
+    s_path = tmp_path / "S.json"
+    s_path.write_text('{"S": [[1e-150, 0.0], [0.0, 1e-150]]}')
+    code, out, err = fresh("-m", "peakcov.cli", "transform",
+                           str(problems_dir / "stable_burst2.json"),
+                           "--S", str(s_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "stable"
+
+
+def test_overflow_in_analysis_exits_one_in_one_line(tmp_path, problems_dir,
+                                                    fresh):
+    # C = 1e300 overflows the gain search's C X C'; that is a numerical
+    # failure, reported in one line, with no numpy warning before it
+    doc = json.loads((problems_dir / "stable_burst2.json").read_text())
+    doc["C"][0][0] = 1e300
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = fresh("-m", "peakcov.cli", "analyze", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "peakcov: error: numerical failure (FloatingPointError): overflow")
+    assert err.count("\n") == 1
+
+
 def test_numerical_failures_exit_one(monkeypatch, problems_dir):
     # an eigensolver failure inside the analysis is not an input error:
     # one error line naming it and exit 1, whether spectral_radius reports

@@ -4,6 +4,8 @@ their iterates, and the Riccati fixed point."""
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peakcov import (
     DimensionMismatch,
@@ -13,6 +15,7 @@ from peakcov import (
     time_update,
 )
 from peakcov.linalg import sym_spectral_norm
+from peakcov.riccati import gain_update
 
 
 # reception updates from Q to the Riccati fixed point P*: the error
@@ -20,10 +23,27 @@ from peakcov.linalg import sym_spectral_norm
 # so 1000 steps leave rounding only
 FIXED_POINT_STEPS = 1000
 
+# optimal_gain eliminates without pivoting where LAPACK pivots: the two
+# gains may differ by this many units of cond(S) * max|K|, S = C X C' + R
+GAIN_TOL = 1e-15
+
 
 def _rand_psd(rng, n, scale=1.0):
     b = rng.standard_normal((n, n))
     return scale * (b @ b.T)
+
+
+@pytest.fixture(scope="module")
+def three_output_plant():
+    # m = 3: optimal_gain's elimination runs over three pivots
+    return SystemModel(
+        A=[[1.1, 0.4, 0.0, 0.2], [0.0, 0.9, 0.5, 0.0],
+           [0.3, 0.0, 1.2, 0.1], [0.0, 0.2, 0.0, 1.05]],
+        C=[[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0], [0.5, 0.5, 0.0, 1.0]],
+        Q=np.eye(4),
+        R=[[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]],
+        Sigma0=np.eye(4),
+    )
 
 
 def test_time_update_examples(plant):
@@ -55,7 +75,8 @@ def test_measurement_update_examples(plant):
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("fixture", ["plant", "jordan_plant"])
+@pytest.mark.parametrize("fixture", ["plant", "jordan_plant",
+                                     "three_output_plant"])
 def test_stacked_updates_match_per_matrix_calls(request, fixture):
     sysm = request.getfixturevalue(fixture)
     rng = np.random.default_rng(44)
@@ -66,6 +87,68 @@ def test_stacked_updates_match_per_matrix_calls(request, fixture):
         assert update(sysm, stack).tobytes() == one_by_one.tobytes()
     norms = [sym_spectral_norm(x) for x in stack]
     assert sym_spectral_norm(stack).tolist() == norms
+
+
+def _zero_gain_matches_time_update(sysm, X):
+    zero = np.zeros(X.shape[:-2] + (sysm.n, sysm.m))
+    got = gain_update(sysm, X, zero)
+    assert got.tobytes() == time_update(sysm, X).tobytes()
+
+
+@pytest.mark.parametrize("fixture", ["plant", "jordan_plant",
+                                     "three_output_plant"])
+def test_gain_update_at_zero_is_time_update(request, fixture):
+    # the identity mc_estimate's one update per slot rests on
+    sysm = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(46)
+    stack = np.stack([_rand_psd(rng, sysm.n, scale=10.0 ** e)
+                      for e in range(-3, 4)])
+    _zero_gain_matches_time_update(sysm, stack)
+    for x in stack:
+        _zero_gain_matches_time_update(sysm, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       m=st.integers(1, 4), runs=st.integers(1, 5))
+def test_gain_update_at_zero_is_time_update_random(random_problem, seed, n,
+                                                   m, runs):
+    rng = np.random.default_rng(seed)
+    problem = random_problem(rng, n, m, 2)
+    assume(problem is not None)
+    sysm = problem[0]
+    _zero_gain_matches_time_update(sysm, np.stack(
+        [_rand_psd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+         for _ in range(runs)]))
+
+
+def test_gain_update_matches_fixed_gain_fixture(plant, three_output_plant,
+                                                fixed_gain_update):
+    rng = np.random.default_rng(47)
+    for sysm in (plant, three_output_plant):
+        for _ in range(20):
+            x = _rand_psd(rng, sysm.n)
+            k = rng.uniform(-2, 2, (sysm.n, sysm.m))
+            ref = fixed_gain_update(sysm, 1, k, x)
+            np.testing.assert_allclose(gain_update(sysm, x, k), ref,
+                                       rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_optimal_gain_matches_solve(random_problem, m):
+    # against LAPACK's pivoted solve of S' K' = -(A X C')'
+    rng = np.random.default_rng(48 + m)
+    for n in range(1, 7):
+        problem = random_problem(rng, n, m, 2)
+        if problem is None:
+            continue
+        sysm = problem[0]
+        for _ in range(10):
+            x = _rand_psd(rng, n, scale=10.0 ** rng.uniform(-3, 3))
+            S = sysm.C @ x @ sysm.C.T + sysm.R
+            ref = -np.linalg.solve(S.T, (sysm.A @ x @ sysm.C.T).T).T
+            err = np.abs(optimal_gain(sysm, x) - ref).max()
+            assert err <= GAIN_TOL * np.linalg.cond(S) * np.abs(ref).max()
 
 
 def test_measurement_below_time_update(plant):

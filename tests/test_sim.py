@@ -299,9 +299,16 @@ def test_growth_trend_matches_polyfit(plant, chain_burst2, rotation_plant,
         assert abs(tr.stderr - np.std(boot, ddof=1)) <= tol * scale
 
 
+def test_growth_trend_requires_burn():
+    # burn=0 would fit the ramp up from Sigma0 as growth, so there is no
+    # default
+    with pytest.raises(TypeError, match="burn"):
+        growth_trend([np.ones(10)])
+
+
 def test_growth_trend_validation():
     with pytest.raises(ValueError):
-        growth_trend([])
+        growth_trend([], burn=0)
     with pytest.raises(ValueError):
         growth_trend([np.ones(10)], burn=8)
     with pytest.raises(ValueError):

@@ -96,6 +96,17 @@ def test_construction_shape_errors():
         _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], Q=np.ones((2, 3)))
 
 
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+def test_symmetry_check_on_huge_entries():
+    # norms of entries past about 1e154 overflow; the check must still see
+    # the asymmetry, and symmetric huge entries must still pass
+    with pytest.raises(ValueError, match="Q must be symmetric"):
+        _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]],
+             Q=[[1e200, 1e199], [0.0, 1e200]])
+    q = [[1e200, 1e199], [1e199, 1e200]]
+    assert _sys([[1.3, 0.3], [0.0, 1.2]], [[1.0, 1.0]], Q=q).Q.tolist() == q
+
+
 def test_fields_are_read_only(plant):
     with pytest.raises(ValueError):
         plant.A[0, 0] = 0.0
