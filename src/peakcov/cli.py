@@ -101,11 +101,7 @@ def cmd_analyze(args) -> int:
         # re-verify from the serialized bytes, not the in-memory arrays
         parsed = json.loads(dumps_report(report))
         report["margin_reverified"] = stability.verify_certificate(
-            sysm,
-            loss,
-            [np.asarray(g, dtype=float) for g in parsed["gains"]],
-            [np.asarray(b, dtype=float) for b in parsed["certificate_blocks"]],
-        )
+            sysm, loss, parsed["gains"], parsed["certificate_blocks"])
         floor = stability.strict_margin_floor(cert.blocks)
         stable = cert.margin > floor and report["margin_reverified"] > floor
     report["verdict"] = "stable" if stable else "not-proven"

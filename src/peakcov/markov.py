@@ -9,7 +9,7 @@ A "sojourn path" ((a_1, b_1), ..., (a_l, b_l)) describes the arrival
 stream seen burst-by-burst: a_j spans the successes leading into burst j
 (a_j >= 1) and b_j in {1, ..., s} is that burst's length. sojourn_pmf
 gives the exact joint probability of such a prefix. _sample_arrivals
-draws seeded arrival streams, one per seed, for the simulator.
+draws the simulator's arrival streams, each from its own Philox key.
 """
 
 from __future__ import annotations
@@ -23,13 +23,8 @@ import numpy as np
 from . import linalg
 from .errors import NotErgodic
 
-__all__ = [
-    "LossModel",
-    "stationary",
-    "submatrices",
-    "sojourn_pmf",
-    "PeriodicChainWarning",
-]
+__all__ = ["LossModel", "stationary", "submatrices", "sojourn_pmf",
+           "PeriodicChainWarning"]
 
 
 class PeriodicChainWarning(UserWarning):
@@ -160,28 +155,37 @@ _DRAW_BLOCK = 64  # uniforms drawn per stream at a time; results ignore it
 def _sample_arrivals(model: LossModel, horizon: int, seeds) -> np.ndarray:
     """(horizon, runs) arrival bits, one column per seed.
 
-    Column r steps the gap chain on the Philox stream keyed seeds[r]:
-    uniform k picks gap k by inverse CDF, the first from the stationary
-    law and each later one from the row of the gap before, and gap j
-    writes j losses then one reception. A column depends on its seed
-    alone and extends, never reshuffles, as the horizon grows. The
-    chains step together until all cover the horizon.
+    Column r steps the gap chain on stream k = seeds[r]: uniform i picks
+    gap i by inverse CDF, the first from the stationary law and each
+    later one from the row of the gap before, and gap value g writes g
+    losses then one reception. Uniform i is (w >> 11) * 2**-53 for w word
+    i mod 4 of Philox4x64-10 at counter i//4 + 1, key (k mod 2**64,
+    k >> 64): the stream of Generator(Philox(key=k)).random(). It depends
+    on (k, i) alone, so one Philox re-keyed per block of draws serves
+    every column, and a column extends, never reshuffles, as the horizon
+    grows.
     """
-    gens = [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    keys = [[int(k) % 2**64, int(k) >> 64] for k in seeds]
+    bits = np.random.Philox(0)  # its key and counter are set per block
+    philox, gen = bits.state, np.random.Generator(bits)
     # row s+1, the stationary CDF, is the "state" the first gap comes from
     cdf = np.vstack([np.cumsum(model.Pi, axis=1), np.cumsum(model.pi_stat)])
-    cols = np.arange(len(gens))
+    cols = np.arange(len(keys))
     # chains past the horizon park at it, receiving in the s+1 spare rows
-    arr = np.zeros((horizon + model.s + 1, len(gens)), dtype=bool)
-    start = np.zeros(len(gens), dtype=np.int64)  # first slot of next gap
-    state = np.full(len(gens), model.s + 1)
-    u = np.empty((len(gens), _DRAW_BLOCK))
+    arr = np.zeros((horizon + model.s + 1, len(keys)), dtype=bool)
+    start = np.zeros(len(keys), dtype=np.int64)  # first slot of next gap
+    state = np.full(len(keys), model.s + 1)
+    u = np.empty((len(keys), min(_DRAW_BLOCK, horizon)))
     for step in itertools.count():
         if start.min() >= horizon:
             return arr[:horizon]
-        if step % u.shape[1] == 0:
-            for g, row in zip(gens, u):
-                g.random(out=row)
+        if step % u.shape[1] == 0:  # uniforms step, step+1, ... per key
+            for key, row in zip(keys, u):
+                philox["state"] = {"counter": [step // 4, 0, 0, 0], "key": key}
+                bits.state = philox
+                if step % 4:
+                    bits.random_raw(step % 4)
+                gen.random(out=row)
         # count of CDF entries <= u, clipped against rounding at 1.0
         state = np.minimum((cdf[state] <= u[:, step % u.shape[1], None])
                            .sum(1), model.s)

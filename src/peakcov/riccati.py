@@ -16,11 +16,7 @@ import numpy as np
 
 from .system import SystemModel
 
-__all__ = [
-    "time_update",
-    "measurement_update",
-    "optimal_gain",
-]
+__all__ = ["time_update", "measurement_update", "optimal_gain"]
 
 
 def time_update(sys: SystemModel, X) -> np.ndarray:
@@ -55,7 +51,8 @@ def gain_update(sys: SystemModel, X, K) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     F, Kt = sys.A + K @ sys.C, K.swapaxes(-1, -2)
-    out = F @ X @ F.swapaxes(-1, -2) + K @ sys.R @ Kt + sys.Q
+    Ft = np.ascontiguousarray(F.swapaxes(-1, -2))  # stacks multiply faster
+    out = F @ X @ Ft + K @ sys.R @ Kt + sys.Q
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 

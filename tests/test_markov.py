@@ -169,6 +169,19 @@ def test_sample_gaps_determinism(chain_burst2):
         assert runs.max() <= chain_burst2.s
 
 
+def test_sampler_builds_one_bit_generator(chain_burst2, monkeypatch):
+    # every run draws from one re-keyed Philox, not a generator per run
+    built = {"Philox": 0, "Generator": 0}
+    for name in built:
+        def counted(*args, _cls=getattr(np.random, name), _name=name, **kw):
+            built[_name] += 1
+            return _cls(*args, **kw)
+        monkeypatch.setattr(np.random, name, counted)
+    arr = _sample_arrivals(chain_burst2, 200, range(500))
+    assert arr.shape == (200, 500)
+    assert built["Philox"] <= 1 and built["Generator"] <= 1
+
+
 def test_sample_gaps_prefix_stability(chain_burst2):
     # drawing a longer stream with the same seed extends, not reshuffles
     short = _sample_arrivals(chain_burst2, 10, [9, 10])

@@ -176,6 +176,19 @@ def test_mc_matches_reference_random_plants(random_problem, reference_gaps,
                               reference_gaps)
 
 
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 129])
+def test_sampler_matches_reference_on_wide_keys(chain_burst2, chain_s1,
+                                                reference_gaps, horizon):
+    # keys across the 2**64 boundary and the largest key: the high word of
+    # the 128-bit Philox key is exercised; horizons straddle _DRAW_BLOCK
+    seeds = [2**64 - 2, 2**64 - 1, 2**64, 2**64 + 1, 2**128 - 1]
+    for loss in (chain_burst2, chain_s1):
+        bits = markov._sample_arrivals(loss, horizon, seeds)
+        for col, seed in zip(bits.T, seeds):
+            ref = _expand(reference_gaps(loss, horizon, seed))[:horizon]
+            assert col.tobytes() == ref.tobytes(), seed
+
+
 def test_mc_invariant_under_draw_block(plant, chain_burst2, monkeypatch):
     kw = dict(runs=12, horizon=250, base_seed=321)
     outs = []
