@@ -142,7 +142,8 @@ def closed_form_gains(sys: SystemModel) -> tuple[list[float], list[np.ndarray]]:
 def _operator(sys: SystemModel, loss: LossModel, depths: int):
     """Two maps on a list of `depths` gain blocks: to the gain-condition
     matrix on symmetric blocks, of side s*n(n+1)/2, and from such a
-    matrix to the Perron-Kalman target gains (see _search). With
+    matrix M and its radius rho to the Perron-Kalman target gains at M's
+    Perron pair, the SVD null pair of M - rho*I (see _search). With
     F_l = A^l + K_l O_l the matrix is diag((A kron A)^j, j=1..s) applied to
     [P_blk.T kron (F_1 kron F_1) + Q_blk.T kron Ksum], Ksum summing
     p00^(l-2) F_l kron F_l over depths 2..Io-1 (zero when Io <= 2, making
@@ -181,15 +182,12 @@ def _operator(sys: SystemModel, loss: LossModel, depths: int):
             M[j * N:(j + 1) * N] = blk @ M[j * N:(j + 1) * N]
         return M
 
-    def blocks(M) -> np.ndarray:  # Perron vector of M -> s symmetric blocks
-        w, v = np.linalg.eig(M)
-        X = np.empty((s, n, n))
-        X[:, a, b] = X[:, b, a] = v[:, np.argmax(w.real)].real.reshape(s, N)
-        return X
-
-    def target(M) -> list[np.ndarray]:
-        X = blocks(M)
-        Y = blocks(M.T) * np.where(np.eye(n), 1.0, 0.5)  # duals of triu
+    def target(M, rho) -> list[np.ndarray]:
+        u, _, vt = np.linalg.svd(M - rho * np.eye(len(M)))
+        X, Y = np.empty((2, s, n, n))  # the Perron pair as symmetric blocks
+        X[:, a, b] = X[:, b, a] = vt[-1].reshape(s, N)
+        Y[:, a, b] = Y[:, b, a] = u[:, -1].reshape(s, N)
+        Y *= np.where(np.eye(n), 1.0, 0.5)  # duals of triu
         Xbar = np.einsum("i,ikl->kl", loss.Pi[1:, 0], X)
         gains = [-al @ Xbar @ o.T @ np.linalg.pinv(o @ Xbar @ o.T)
                  for al, o in zip(Al[1:], obs[1:])]
@@ -322,8 +320,12 @@ def _search(sys: SystemModel, loss: LossModel, refine: bool):
     radius it computed on the way: (d, rho_seed, gains, rho).
 
     Each step takes the Perron pair of H: right blocks X and left blocks
-    Y, both PSD. The target gains K' minimize <Y, H_K'(X)>, a convex
-    quadratic separable by depth: for l >= 2 the Kalman gain
+    Y, both PSD. H maps PSD blocks to PSD blocks, so rho is an eigenvalue
+    (Krein-Rutman) and the pair is the null pair of H - rho*I, read off
+    one SVD. Its signs and scales do not matter: the target gains K'
+    minimize <Y, H_K'(X)>, a convex quadratic bilinear in (Y, X) and
+    separable by depth, whose minimizer is unchanged when X or Y is
+    scaled by any nonzero number. For l >= 2 it is the Kalman gain
     K_l = -A^l Xbar O_l' (O_l Xbar O_l')^+, Xbar = sum_i Pi[i,0] X_i, and
     for depth 1 the n*m linear system
     sum_ij Pi[i,j] M_j K N_i = -sum_ij Pi[i,j] M_j A X_i O_1' with
@@ -340,7 +342,7 @@ def _search(sys: SystemModel, loss: LossModel, refine: bool):
     gains, M = seed, matrix(seed)
     rho = rho_seed = linalg.spectral_radius(M)
     for _ in range(MAX_STEPS if refine else 0):
-        goal, t = target(M), 1.0
+        goal, t = target(M, rho), 1.0
         while t >= MIN_STEP:
             trial = [K + t * (G - K) for K, G in zip(gains, goal)]
             Mt = matrix(trial)

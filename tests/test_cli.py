@@ -329,22 +329,23 @@ def test_overflow_in_analysis_exits_one_in_one_line(tmp_path, problems_dir,
 
 
 def test_numerical_failures_exit_one(monkeypatch, problems_dir):
-    # an eigensolver failure inside the analysis is not an input error:
-    # one error line naming it and exit 1, whether spectral_radius reports
-    # it (eigvals, as NoConvergence) or the gain search meets it (eig)
+    # a solver failure inside the analysis is not an input error: one
+    # error line naming it and exit 1, whether spectral_radius reports it
+    # (eigvals, as NoConvergence) or the gain search meets it (svd)
     path = str(problems_dir / "stable_burst2.json")
-    eigvals = np.linalg.eigvals
 
-    def fails(*_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    def fails_on_operator(solver):  # the 2x2 plant and norm matrices pass
+        real = getattr(np.linalg, solver)
 
-    def fails_on_operator(a):  # the 2x2 plant and norm matrices pass
-        return fails() if len(a) > 2 else eigvals(a)
+        def fake(a, *args, **kwargs):
+            if len(a) > 2:
+                raise np.linalg.LinAlgError(f"{solver} did not converge")
+            return real(a, *args, **kwargs)
+        return fake
 
-    for solver, fake, raised in (("eigvals", fails_on_operator, "NoConvergence"),
-                                 ("eig", fails, "LinAlgError")):
+    for solver, raised in (("eigvals", "NoConvergence"), ("svd", "LinAlgError")):
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, solver, fake)
+            m.setattr(np.linalg, solver, fails_on_operator(solver))
             code, out, err = _run("analyze", path)
         assert (code, out) == (1, "")
         assert err.startswith(f"peakcov: error: numerical failure ({raised})")
@@ -356,15 +357,16 @@ def test_numerical_failures_exit_one(monkeypatch, problems_dir):
 # radius and the certificate's re-verified margin (None: refused). The
 # single-loss demos' refined radii sit at eigenvalue noise, where each
 # search lands somewhere else, so their refined radius and margin are
-# those of the Perron-Kalman search.
+# those of the Perron-Kalman search, its Perron pair taken from the SVD
+# of H - rho*I.
 PRE_SYMMETRIC = {
     "identical_rows": (0, 0.6002362000000002, 0.04193434817538788,
                        0.9999999999999929),
     "resonant_rotation": (1, 2.5704900000000004, 2.5704900000000004, None),
-    "single_loss": (0, 0.28321999999999975, 2.0808338484094035e-08,
-                    0.9999999999999968),
-    "single_loss_sticky": (0, 0.7080499999999998, 3.7067639730426354e-08,
-                           0.9999999999999747),
+    "single_loss": (0, 0.28321999999999975, 1.3817367842588612e-08,
+                    0.9999999999999953),
+    "single_loss_sticky": (0, 0.7080499999999998, 3.743231271775556e-08,
+                           0.9999999999999942),
     "stable_burst2": (0, 0.3001181000000001, 0.02096717408769394,
                       0.9999999999999974),
 }

@@ -511,6 +511,83 @@ def test_search_gains_descends_from_seed_random_plants(random_problem, seed, n,
     assert [K.tobytes() for K in again] == [K.tobytes() for K in gains]
 
 
+# the search's Perron pair (the SVD null pair of H - rho*I) against eig's,
+# as unit vectors up to sign; over 40 seeded plants with a simple Perron
+# root the largest gap is 2.8e-14
+PERRON_TOL = 1e-9
+
+
+def test_perron_pair_matches_eig_random_plants(monkeypatch, random_problem):
+    svd, seen = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+
+    def unit_gap(x, ref):
+        x, ref = x / np.linalg.norm(x), ref.real / np.linalg.norm(ref.real)
+        return min(np.linalg.norm(x - ref), np.linalg.norm(x + ref))
+
+    checked = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, m, s = (int(rng.integers(1, k)) for k in (5, 3, 4))
+        problem = random_problem(rng, n, m, s, 1.2, 0.5)
+        if problem is None:
+            continue
+        sysm, loss = problem
+        gains = _perturbed_seed_gains(sysm, seed, 0.3)
+        matrix, target = stability._operator(sysm, loss, len(gains))
+        H = matrix(gains)
+        rho = spectral_radius(H)
+        mags = np.sort(np.abs(np.linalg.eigvals(H)))
+        if len(H) > 1 and mags[-2] > 0.9 * rho:
+            continue
+        seen.clear()
+        target(H, rho)
+        u, _, vt = next(out for out in seen if out[0].shape == H.shape)
+        for op, vec in ((H, vt[-1]), (H.T, u[:, -1])):
+            w, v = np.linalg.eig(op)
+            assert unit_gap(vec, v[:, np.argmax(w.real)]) <= PERRON_TOL
+        checked += 1
+    assert checked >= 30
+
+
+def test_search_gains_calls_no_eig(monkeypatch, random_problem):
+    # each step takes its Perron pair from one SVD, not from eig on H, H'
+    sysm, loss = random_problem(np.random.default_rng(3), 6, 1, 4, 1.2, 0.5)
+    calls, eig = [], np.linalg.eig
+
+    def counted(a):
+        calls.append(len(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    _, rho = search_gains(sysm, loss)
+    assert calls == []
+    assert rho < search_gains(sysm, loss, refine=False)[1]
+
+
+@pytest.mark.parametrize("A, C, Pi", [
+    ([[2.0]], [[1.0]], [[0.5, 0.3, 0.2]] * 3),
+    ([[1.3, 0.3], [0.0, 1.2]], np.eye(2), [[0.6, 0.4], [0.8, 0.2]]),
+])
+def test_search_gains_from_deadbeat_seed(A, C, Pi):
+    # C of full column rank: the seed gains cancel A exactly, so H = 0 and
+    # every vector is a Perron vector
+    n, m = len(A), len(C)
+    sysm = SystemModel(A=A, C=C, Q=np.eye(n), R=np.eye(m), Sigma0=np.eye(n))
+    loss = LossModel(Pi=Pi)
+    _, seed_gains = closed_form_gains(sysm)
+    assert not gain_condition_matrix(sysm, loss, seed_gains).matrix.any()
+    gains, rho = search_gains(sysm, loss)
+    assert rho == 0.0
+    assert all(np.isfinite(K).all() for K in gains)
+
+
 def test_similarity_moves_norm_condition(plant, chain_burst2):
     d, gains = closed_form_gains(plant)
     S = np.array([[1.0, 5.0], [0.0, 1.0]])
